@@ -436,27 +436,6 @@ def transpose(a) -> Tensor:
     return _make_out(data, (a,), build)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def build(out):
-        def vjp(g):
-            pairs = []
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(int(lo), int(hi))
-                    pairs.append((t, g[tuple(idx)]))
-            return pairs
-
-        return vjp
-
-    return _make_out(data, ts, build)
-
-
 def _reduce(a: Array, axis, how: str) -> Array:
     # reductions accumulate in 64-bit even in 32-bit storage mode
     fn = np.sum if how == "sum" else np.mean

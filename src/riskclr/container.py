@@ -1,0 +1,112 @@
+"""The one on-disk container for datasets, noise banks and checkpoints.
+
+Layout: the magic ``RCLRCONT``, a 4-byte little-endian header length, a
+UTF-8 JSON header (sorted keys), the named arrays back to back, and a
+sha256 of everything before it. The header holds the format ``version``,
+the ``kind`` (``pretrain``, ``downstream``, ``arrays`` or ``checkpoint``),
+the caller's ``fields``, and per array its name, little-endian dtype string
+and shape. Each array is stored C-ordered in its own dtype.
+
+Readers check the length, magic, checksum, version and kind in that order;
+files in the earlier per-kind framings are rejected, not converted. Every
+file is written atomically: a temp file in the target directory, flushed
+and fsynced, then renamed over the target.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+
+import numpy as np
+
+MAGIC = b"RCLRCONT"
+VERSION = 2
+KINDS = ("pretrain", "downstream", "arrays", "checkpoint")
+_RETIRED_MAGICS = (b"RCLRDATA", b"RCLRCKPT")
+_LEN_BYTES = 4
+_DIGEST_BYTES = 32
+
+
+class DataFormatError(IOError):
+    """Corrupt, truncated, wrong-version or wrong-kind container."""
+
+
+def pack(kind: str, fields: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """Serialize ``fields`` (JSON-able) and named arrays into one container."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown container kind {kind!r}")
+    stored = []
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        stored.append((name, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))))
+    header = json.dumps({
+        "version": VERSION,
+        "kind": kind,
+        "fields": fields,
+        "arrays": [{"name": n, "dtype": a.dtype.str, "shape": list(a.shape)} for n, a in stored],
+    }, sort_keys=True).encode("utf-8")
+    parts = [MAGIC, len(header).to_bytes(_LEN_BYTES, "little"), header, *(a for _, a in stored)]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return b"".join(parts + [digest.digest()])
+
+
+def unpack(blob: bytes, *kinds: str) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, fields, arrays) of a container whose kind is one of ``kinds``.
+
+    The arrays are read-only views into ``blob``; copy what you keep.
+    """
+    start = len(MAGIC) + _LEN_BYTES
+    if len(blob) < start + _DIGEST_BYTES:
+        raise DataFormatError(f"container truncated: {len(blob)} bytes")
+    magic = bytes(blob[: len(MAGIC)])
+    if magic in _RETIRED_MAGICS:
+        raise DataFormatError(f"file uses the retired {magic.decode()} framing; "
+                              "regenerate it with this version")
+    if magic != MAGIC:
+        raise DataFormatError("bad magic; not a riskclr container")
+    body = memoryview(blob)[:-_DIGEST_BYTES]
+    if hashlib.sha256(body).digest() != bytes(blob[-_DIGEST_BYTES:]):
+        raise DataFormatError("checksum mismatch; container corrupted")
+    end = start + int.from_bytes(body[len(MAGIC) : start], "little")
+    try:
+        header = json.loads(bytes(body[start:end]).decode("utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"unreadable container header: {exc}") from None
+    if header.get("version") != VERSION:
+        raise DataFormatError(f"unsupported container version {header.get('version')!r}")
+    if header.get("kind") not in kinds:
+        raise DataFormatError(f"expected a {' or '.join(kinds)} container, "
+                              f"found a {header.get('kind')!r} container")
+    arrays: dict[str, np.ndarray] = {}
+    for entry in header["arrays"]:
+        dtype = np.dtype(entry["dtype"])
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape))
+        if end + count * dtype.itemsize > len(body):
+            raise DataFormatError(f"array {entry['name']!r} runs past the payload")
+        arrays[entry["name"]] = np.frombuffer(body, dtype=dtype, count=count,
+                                              offset=end).reshape(shape)
+        end += count * dtype.itemsize
+    if end != len(body):
+        raise DataFormatError("array table does not match the payload size")
+    return header["kind"], header["fields"], arrays
+
+
+def write_atomic(path: str | os.PathLike, blob: bytes) -> None:
+    """Replace ``path`` with ``blob`` so that a crash leaves the old file whole."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

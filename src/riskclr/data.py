@@ -8,41 +8,26 @@ strengths). The observed metadata then hides some covariates, so the
 training-side risk estimate sees realistic missingness while downstream
 labels derive from the clean latent.
 
-Container format: little-endian binary with a magic header, version byte
-stream, per-record metadata blocks (optionals via presence bits), lead
-arrays as 32-bit floats, and a trailing sha256. Metadata is also exportable
-to the CSV schema shared with the scoring CLI.
+Datasets persist in the shared container (see ``container``): subject IDs
+and metadata in the JSON header (``null`` for a missing covariate), leads as
+one float32 array. Metadata is also exportable to the CSV schema shared
+with the scoring CLI.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import os
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import container
+from .container import DataFormatError
 from .risk_score import MetadataRecord, impute, score2
 
 DATA_ROOT_ENV = "RISKCLR_DATA_ROOT"
-
-_MAGIC = b"RCLRDATA"
-_VERSION = 1
-_KIND_PRETRAIN = 0
-_KIND_DOWNSTREAM = 1
-_KIND_ARRAYS = 2
-
-# order of covariates in the presence bitmask and value block
-_META_FIELDS = ("age", "gender", "smoking", "sbp", "diabetes",
-                "total_cholesterol", "hdl_cholesterol")
-
-
-class DataFormatError(IOError):
-    """Corrupt, truncated, or wrong-version container."""
-
 
 @dataclass
 class ECGRecord:
@@ -324,126 +309,47 @@ def split(dataset, fractions, mode: str = "sequential", seed: int = 0):
 # container I/O
 
 
-def _pack_metadata(meta: MetadataRecord) -> bytes:
-    presence = 0
-    values = []
-    for bit, name in enumerate(_META_FIELDS):
-        v = getattr(meta, name)
-        if v is not None:
-            presence |= 1 << bit
-        if name == "gender":
-            values.append(0.0 if v in (None, "male") else 1.0)
-        else:
-            values.append(0.0 if v is None else float(v))
-    return struct.pack("<B7d", presence, *values)
-
-
-def _unpack_metadata(buf: bytes) -> MetadataRecord:
-    presence, *values = struct.unpack("<B7d", buf)
-    kwargs = {}
-    for bit, (name, value) in enumerate(zip(_META_FIELDS, values)):
-        if not presence & (1 << bit):
-            kwargs[name] = None
-        elif name == "gender":
-            kwargs[name] = "female" if value == 1.0 else "male"
-        elif name in ("smoking", "diabetes"):
-            kwargs[name] = int(value)
-        else:
-            kwargs[name] = value
-    return MetadataRecord(**kwargs)
-
-
-def _write_str(out: io.BytesIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    out.write(struct.pack("<H", len(raw)))
-    out.write(raw)
-
-
-def _read_str(buf: memoryview, pos: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<H", buf, pos)
-    pos += 2
-    return bytes(buf[pos : pos + n]).decode("utf-8"), pos + n
+def _stacked(rows: list[np.ndarray], ndim: int) -> np.ndarray:
+    if not rows:
+        return np.zeros((0,) * ndim, dtype=np.float32)
+    return np.stack(rows).astype(np.float32, copy=False)
 
 
 def save_bytes(dataset) -> bytes:
-    out = io.BytesIO()
-    out.write(_MAGIC)
+    fields = {"fs": float(dataset.fs)}
     if isinstance(dataset, Dataset):
-        kind = _KIND_PRETRAIN
-        items = dataset.records
-        t = items[0].leads.shape[1] if items else 0
-        n_leads = items[0].leads.shape[0] if items else 0
-    else:
-        kind = _KIND_DOWNSTREAM
-        items = dataset.samples
-        t = items[0].signal.shape[0] if items else 0
-        n_leads = 1
-    out.write(struct.pack("<IBIdIB", _VERSION, kind, len(items),
-                          dataset.fs, t, n_leads))
-    for it in items:
-        _write_str(out, it.subject_id)
-        if kind == _KIND_PRETRAIN:
-            out.write(_pack_metadata(it.metadata))
-            if it.leads.shape != (n_leads, t):
-                raise ValueError("all records must share lead count and length")
-            out.write(it.leads.astype("<f4").tobytes())
-        else:
-            out.write(struct.pack("<BdB", it.lead_id, it.label_real, it.label_binary))
-            if it.signal.shape != (t,):
-                raise ValueError("all samples must share signal length")
-            out.write(np.asarray(it.signal, dtype="<f4").tobytes())
-    body = out.getvalue()
-    return body + hashlib.sha256(body).digest()
-
-
-def _verify(blob: bytes) -> memoryview:
-    if len(blob) < len(_MAGIC) + 32:
-        raise DataFormatError("container truncated")
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise DataFormatError("bad magic; not a dataset container")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise DataFormatError("checksum mismatch; container corrupted")
-    return memoryview(body)
+        fields["subject_ids"] = [r.subject_id for r in dataset.records]
+        fields["metadata"] = [asdict(r.metadata) for r in dataset.records]
+        leads = _stacked([r.leads for r in dataset.records], 3)
+        return container.pack("pretrain", fields, {"leads": leads})
+    samples = dataset.samples
+    fields["subject_ids"] = [s.subject_id for s in samples]
+    return container.pack("downstream", fields, {
+        "signals": _stacked([s.signal for s in samples], 2),
+        "lead_id": np.array([s.lead_id for s in samples], dtype=np.int64),
+        "label_real": np.array([s.label_real for s in samples], dtype=np.float64),
+        "label_binary": np.array([s.label_binary for s in samples], dtype=np.int64),
+    })
 
 
 def load_bytes(blob: bytes):
-    buf = _verify(blob)
-    pos = len(_MAGIC)
-    version, kind, n, fs, t, n_leads = struct.unpack_from("<IBIdIB", buf, pos)
-    pos += struct.calcsize("<IBIdIB")
-    if version != _VERSION:
-        raise DataFormatError(f"unsupported container version {version}")
-    if kind == _KIND_PRETRAIN:
-        records = []
-        for _ in range(n):
-            sid, pos = _read_str(buf, pos)
-            meta = _unpack_metadata(bytes(buf[pos : pos + struct.calcsize("<B7d")]))
-            pos += struct.calcsize("<B7d")
-            nbytes = n_leads * t * 4
-            leads = np.frombuffer(buf, dtype="<f4", count=n_leads * t, offset=pos)
-            leads = leads.reshape(n_leads, t).copy()
-            pos += nbytes
-            records.append(ECGRecord(subject_id=sid, leads=leads, fs=fs, metadata=meta))
-        return Dataset(records=records)
-    if kind == _KIND_DOWNSTREAM:
-        samples = []
-        for _ in range(n):
-            sid, pos = _read_str(buf, pos)
-            lead_id, label_real, label_binary = struct.unpack_from("<BdB", buf, pos)
-            pos += struct.calcsize("<BdB")
-            sig = np.frombuffer(buf, dtype="<f4", count=t, offset=pos).copy()
-            pos += t * 4
-            samples.append(DownstreamSample(subject_id=sid, signal=sig, fs=fs,
-                                            lead_id=lead_id, label_real=label_real,
-                                            label_binary=label_binary))
-        return DownstreamDataset(samples=samples)
-    raise DataFormatError(f"unknown container kind {kind}")
+    kind, fields, arrays = container.unpack(blob, "pretrain", "downstream")
+    fs, ids = fields["fs"], fields["subject_ids"]
+    if kind == "pretrain":
+        leads = arrays["leads"].copy()
+        return Dataset(records=[
+            ECGRecord(subject_id=sid, leads=lead, fs=fs, metadata=MetadataRecord(**meta))
+            for sid, lead, meta in zip(ids, leads, fields["metadata"])])
+    columns = zip(ids, arrays["signals"].copy(), arrays["lead_id"].tolist(),
+                  arrays["label_real"].tolist(), arrays["label_binary"].tolist())
+    return DownstreamDataset(samples=[
+        DownstreamSample(subject_id=sid, signal=sig, fs=fs, lead_id=lead_id,
+                         label_real=label_real, label_binary=label_binary)
+        for sid, sig, lead_id, label_real, label_binary in columns])
 
 
 def save(dataset, path: str | os.PathLike) -> None:
-    with open(path, "wb") as fh:
-        fh.write(save_bytes(dataset))
+    container.write_atomic(path, save_bytes(dataset))
 
 
 def load(path: str | os.PathLike):
@@ -451,55 +357,16 @@ def load(path: str | os.PathLike):
         return load_bytes(fh.read())
 
 
-# ---------------------------------------------------------------------------
-# generic named-array container (noise banks and similar sidecar data)
-
-
-def save_arrays(path: str | os.PathLike, arrays: dict[str, np.ndarray], fs: float = 0.0) -> None:
-    out = io.BytesIO()
-    out.write(_MAGIC)
-    out.write(struct.pack("<IBIdIB", _VERSION, _KIND_ARRAYS, len(arrays), fs, 0, 0))
-    for name, arr in arrays.items():
-        _write_str(out, name)
-        arr = np.asarray(arr, dtype="<f8")
-        out.write(struct.pack("<B", arr.ndim))
-        out.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.write(arr.tobytes())
-    body = out.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(body + hashlib.sha256(body).digest())
-
-
-def load_arrays(path: str | os.PathLike) -> tuple[dict[str, np.ndarray], float]:
-    with open(path, "rb") as fh:
-        buf = _verify(fh.read())
-    pos = len(_MAGIC)
-    version, kind, n, fs, _, _ = struct.unpack_from("<IBIdIB", buf, pos)
-    pos += struct.calcsize("<IBIdIB")
-    if version != _VERSION or kind != _KIND_ARRAYS:
-        raise DataFormatError("not an array container of a supported version")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n):
-        name, pos = _read_str(buf, pos)
-        (ndim,) = struct.unpack_from("<B", buf, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", buf, pos)
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arrays[name] = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-        pos += count * 8
-    return arrays, fs
-
-
 def save_noise_bank(path: str | os.PathLike, bank) -> None:
-    save_arrays(path, dict(bank.recordings), fs=bank.fs)
+    container.write_atomic(path, container.pack("arrays", {"fs": float(bank.fs)}, bank.recordings))
 
 
 def load_noise_bank(path: str | os.PathLike):
     from .signal import NoiseBank
 
-    arrays, fs = load_arrays(path)
-    return NoiseBank(fs=fs, recordings=arrays)
+    with open(path, "rb") as fh:
+        _, fields, arrays = container.unpack(fh.read(), "arrays")
+    return NoiseBank(fs=fields["fs"], recordings={k: v.copy() for k, v in arrays.items()})
 
 
 def export_metadata_csv(dataset: Dataset, path: str | os.PathLike) -> None:

@@ -15,16 +15,15 @@ must be divisible by the group width.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
-import struct
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import Tensor
+from .container import DataFormatError
 
 STEM_KERNEL = 16
 STEM_STRIDE = 2
@@ -85,53 +84,70 @@ def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
     return rng.normal(0.0, scale * np.sqrt(2.0 / fan_in), size=shape)
 
 
+def _layer(name: str, w_shape: tuple[int, ...], fan_in: int, scale: float = 1.0):
+    yield f"{name}.w", w_shape, fan_in, scale
+    yield f"{name}.b", w_shape[-1:], None, 0.0  # zero bias, no draw
+
+
+def parameter_shapes(config: EncoderConfig):
+    """(name, shape, fan_in, scale) of every parameter, in initialization order.
+
+    ``fan_in`` is None for zero-initialized biases; the rest are drawn He-normal
+    with that fan-in, in exactly this order.
+    """
+    yield from _layer("stem", (STEM_KERNEL, 1, config.hidden_dim), STEM_KERNEL)
+    in_ch = config.hidden_dim
+    gw = config.group_width  # input channels per group of the grouped conv
+    for si, (h, blocks) in enumerate(config.stages):
+        d1 = config.stage_width(h)
+        for bi in range(blocks):
+            p = f"stage{si}.block{bi}"
+            yield from _layer(f"{p}.conv1", (1, in_ch, d1), in_ch)
+            yield from _layer(f"{p}.conv2", (BLOCK_KERNEL, gw, d1), BLOCK_KERNEL * gw)
+            yield from _layer(f"{p}.conv3", (1, d1, h), d1)
+            if in_ch != h:
+                yield from _layer(f"{p}.proj", (1, in_ch, h), in_ch)
+            in_ch = h
+        g = f"stage{si}.gate"
+        yield from _layer(f"{g}.fc1", (h, h // 2), h)
+        # near-zero final layer so gates start around sigmoid(0) = 0.5
+        yield from _layer(f"{g}.fc2", (h // 2, h), h // 2, scale=0.01)
+
+
+def _checked(arrays: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    if name not in arrays:
+        raise ValueError(f"checkpoint missing parameter {name}")
+    arr = np.asarray(arrays[name])
+    if arr.shape != shape:
+        raise ValueError(f"shape mismatch for {name}: {arr.shape} != {shape}")
+    return arr
+
+
 class Encoder:
     """Instantiated parameters for one EncoderConfig.
 
     ``dtype`` selects the storage mode: float64 (default; used by gradient
     checks) or float32 (training throughput on bandwidth-starved hosts).
     Initial values are always drawn in float64 and cast, so both modes start
-    from the same numbers.
+    from the same numbers. Passing ``arrays`` takes the parameters from them
+    instead of drawing any.
     """
 
-    def __init__(self, config: EncoderConfig, seed: int, dtype=np.float64):
+    def __init__(self, config: EncoderConfig, seed: int, dtype=np.float64,
+                 arrays: dict[str, np.ndarray] | None = None):
         self.config = config
         self.seed = seed
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
-        self._build(np.random.default_rng(np.random.SeedSequence([seed])))
-
-    def _add(self, name: str, arr: np.ndarray) -> None:
-        self.params[name] = ad.parameter(arr.astype(self.dtype), name=name)
-
-    def _build(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        self._add("stem.w", _he_normal(rng, (STEM_KERNEL, 1, cfg.hidden_dim), STEM_KERNEL))
-        self._add("stem.b", np.zeros(cfg.hidden_dim))
-        in_ch = cfg.hidden_dim
-        for si, (h, blocks) in enumerate(cfg.stages):
-            d1 = cfg.stage_width(h)
-            groups = d1 // cfg.group_width
-            for bi in range(blocks):
-                p = f"stage{si}.block{bi}"
-                self._add(f"{p}.conv1.w", _he_normal(rng, (1, in_ch, d1), in_ch))
-                self._add(f"{p}.conv1.b", np.zeros(d1))
-                self._add(f"{p}.conv2.w",
-                          _he_normal(rng, (BLOCK_KERNEL, d1 // groups, d1),
-                                     BLOCK_KERNEL * (d1 // groups)))
-                self._add(f"{p}.conv2.b", np.zeros(d1))
-                self._add(f"{p}.conv3.w", _he_normal(rng, (1, d1, h), d1))
-                self._add(f"{p}.conv3.b", np.zeros(h))
-                if in_ch != h:
-                    self._add(f"{p}.proj.w", _he_normal(rng, (1, in_ch, h), in_ch))
-                    self._add(f"{p}.proj.b", np.zeros(h))
-                in_ch = h
-            g = f"stage{si}.gate"
-            self._add(f"{g}.fc1.w", _he_normal(rng, (h, h // 2), h))
-            self._add(f"{g}.fc1.b", np.zeros(h // 2))
-            # near-zero final layer so gates start around sigmoid(0) = 0.5
-            self._add(f"{g}.fc2.w", _he_normal(rng, (h // 2, h), h // 2, scale=0.01))
-            self._add(f"{g}.fc2.b", np.zeros(h))
+        rng = np.random.default_rng(np.random.SeedSequence([seed])) if arrays is None else None
+        for name, shape, fan_in, scale in parameter_shapes(config):
+            if arrays is not None:
+                arr = _checked(arrays, name, shape)
+            elif fan_in is None:
+                arr = np.zeros(shape)
+            else:
+                arr = _he_normal(rng, shape, fan_in, scale)
+            self.params[name] = ad.parameter(arr.astype(self.dtype), name=name)
 
     # -- forward -----------------------------------------------------------
 
@@ -183,14 +199,10 @@ class Encoder:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(arrays)
-        if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}...")
-        for name, tensor in self.params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != tensor.data.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            tensor.data = arr.copy()
+        new = {name: _checked(arrays, name, t.data.shape).astype(self.dtype)
+               for name, t in self.params.items()}
+        for name, arr in new.items():
+            self.params[name].data = arr
 
     def zero_grads(self) -> None:
         for tensor in self.params.values():
@@ -204,130 +216,44 @@ def build(config: EncoderConfig, seed: int = 0, dtype=np.float64) -> Encoder:
 
 def param_count(config: EncoderConfig) -> int:
     """Parameter count as a pure function of the config."""
-    total = STEM_KERNEL * 1 * config.hidden_dim + config.hidden_dim
-    in_ch = config.hidden_dim
-    for h, blocks in config.stages:
-        d1 = config.stage_width(h)
-        groups = d1 // config.group_width
-        for bi in range(blocks):
-            total += in_ch * d1 + d1  # conv1
-            total += BLOCK_KERNEL * (d1 // groups) * d1 + d1  # conv2 (grouped)
-            total += d1 * h + h  # conv3
-            if in_ch != h:
-                total += in_ch * h + h  # projection
-            in_ch = h
-        total += h * (h // 2) + h // 2 + (h // 2) * h + h  # gating MLP
-    return total
+    return sum(math.prod(shape) for _, shape, _, _ in parameter_shapes(config))
 
 
 def parameter_breakdown(config: EncoderConfig) -> dict[str, int]:
     """Per-module parameter counts (stem, each stage) for inspection."""
-    out: dict[str, int] = {"stem": STEM_KERNEL * config.hidden_dim + config.hidden_dim}
-    in_ch = config.hidden_dim
-    for si, (h, blocks) in enumerate(config.stages):
-        d1 = config.stage_width(h)
-        groups = d1 // config.group_width
-        count = 0
-        for bi in range(blocks):
-            count += in_ch * d1 + d1
-            count += BLOCK_KERNEL * (d1 // groups) * d1 + d1
-            count += d1 * h + h
-            if in_ch != h:
-                count += in_ch * h + h
-            in_ch = h
-        count += h * (h // 2) + h // 2 + (h // 2) * h + h
-        out[f"stage{si}(h={h},blocks={blocks})"] = count
+    out: dict[str, int] = {}
+    for name, shape, _, _ in parameter_shapes(config):
+        module = name.split(".")[0]
+        if module != "stem":
+            h, blocks = config.stages[int(module[len("stage"):])]
+            module = f"{module}(h={h},blocks={blocks})"
+        out[module] = out.get(module, 0) + math.prod(shape)
     return out
 
 
-def output_length(config: EncoderConfig, t: int) -> int:
-    """Temporal length bookkeeping: only the stem downsamples."""
-    return -(-t // STEM_STRIDE)
-
-
 # ---------------------------------------------------------------------------
-# checkpoint container: versioned binary with config echo, seed, named
-# float64 blobs, and a trailing sha256
+# checkpoints: config, seed, dtype and meta in the container header; the
+# parameters ("param/...") and caller extras ("extra/...") as arrays in their
+# own dtype
 
 
-_CKPT_MAGIC = b"RCLRCKPT"
-_CKPT_VERSION = 1
-
-
-class CheckpointError(IOError):
-    pass
+CheckpointError = DataFormatError
 
 
 def save_checkpoint(path, encoder: Encoder, extra: dict[str, np.ndarray] | None = None,
                     meta: dict | None = None) -> None:
-    header = {
-        "config": asdict(encoder.config),
-        "seed": encoder.seed,
-        "dtype": encoder.dtype.name,
-        "meta": meta or {},
-    }
-    blobs = {f"param/{k}": v for k, v in encoder.state_arrays().items()}
-    if extra:
-        blobs.update({f"extra/{k}": np.asarray(v, dtype=np.float64) for k, v in extra.items()})
-    out = io.BytesIO()
-    out.write(_CKPT_MAGIC)
-    out.write(struct.pack("<I", _CKPT_VERSION))
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    out.write(struct.pack("<I", len(raw)))
-    out.write(raw)
-    out.write(struct.pack("<I", len(blobs)))
-    for name, arr in blobs.items():
-        nraw = name.encode("utf-8")
-        out.write(struct.pack("<H", len(nraw)))
-        out.write(nraw)
-        out.write(struct.pack("<B", arr.ndim))
-        out.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.write(arr.astype("<f8").tobytes())
-    body = out.getvalue()
-    with open(path, "wb") as fh:
-        fh.write(body + hashlib.sha256(body).digest())
+    fields = {"config": asdict(encoder.config), "seed": encoder.seed,
+              "dtype": encoder.dtype.name, "meta": meta or {}}
+    arrays = {f"param/{k}": t.data for k, t in encoder.params.items()}
+    arrays.update({f"extra/{k}": v for k, v in (extra or {}).items()})
+    container.write_atomic(path, container.pack("checkpoint", fields, arrays))
 
 
 def load_checkpoint(path) -> tuple[Encoder, dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(_CKPT_MAGIC) + 32 or blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CheckpointError("not a checkpoint container")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CheckpointError("checkpoint checksum mismatch")
-    buf = memoryview(body)
-    pos = len(_CKPT_MAGIC)
-    (version,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    header = json.loads(bytes(buf[pos : pos + hlen]).decode("utf-8"))
-    pos += hlen
-    (n_blobs,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    blobs: dict[str, np.ndarray] = {}
-    for _ in range(n_blobs):
-        (nlen,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = bytes(buf[pos : pos + nlen]).decode("utf-8")
-        pos += nlen
-        (ndim,) = struct.unpack_from("<B", buf, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", buf, pos)
-        pos += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        blobs[name] = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
-        pos += count * 8
-
-    cfg_dict = header["config"]
-    cfg_dict["stages"] = tuple(tuple(s) for s in cfg_dict["stages"])
-    config = EncoderConfig(**cfg_dict)
-    encoder = build(config, seed=header["seed"], dtype=np.dtype(header.get("dtype", "float64")))
-    encoder.load_state_arrays(
-        {k[len("param/") :]: v for k, v in blobs.items() if k.startswith("param/")}
-    )
-    extra = {k[len("extra/") :]: v for k, v in blobs.items() if k.startswith("extra/")}
-    return encoder, extra, header["meta"]
+        _, fields, arrays = container.unpack(fh.read(), "checkpoint")
+    cfg = dict(fields["config"], stages=tuple(tuple(s) for s in fields["config"]["stages"]))
+    params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
+    encoder = Encoder(EncoderConfig(**cfg), fields["seed"], dtype=fields["dtype"], arrays=params)
+    extra = {k[len("extra/") :]: v.copy() for k, v in arrays.items() if k.startswith("extra/")}
+    return encoder, extra, fields["meta"]

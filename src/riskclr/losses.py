@@ -55,16 +55,6 @@ class EmbeddingBatch:
         return self.z.data.shape[0]
 
 
-def cosine_similarity(z_i: np.ndarray, z_j: np.ndarray) -> float:
-    """Cosine similarity of two embedding vectors; rejects zero vectors."""
-    z_i = np.asarray(z_i, dtype=np.float64)
-    z_j = np.asarray(z_j, dtype=np.float64)
-    ni, nj = np.linalg.norm(z_i), np.linalg.norm(z_j)
-    if ni == 0.0 or nj == 0.0:
-        raise ValueError("cosine similarity undefined for a zero embedding")
-    return float(z_i @ z_j / (ni * nj))
-
-
 def cosine_matrix(z: Tensor) -> Tensor:
     """All-pairs cosine similarities as a differentiable (2B, 2B) node."""
     zn = ad.row_l2_normalize(z)
@@ -134,27 +124,6 @@ def dissim_align(batch: EmbeddingBatch, weights: WeightMatrix) -> Tensor:
     rescaled = ad.mul(ad.add(sims, 1.0), 0.5)
     gap = ad.sub(rescaled, 1.0 - W)
     return ad.mean(ad.square(gap))
-
-
-def total_loss(
-    batch: EmbeddingBatch,
-    weights: WeightMatrix,
-    lam: float = 1.0,
-    normalize: bool = False,
-) -> Tensor:
-    """Weighted contrastive plus lam * alignment.
-
-    The training default is the plain sum (lam = 1, unnormalized). The
-    ablation harness sets ``normalize=True`` to divide mixtures by the sum of
-    their coefficients so loss scales stay comparable across lam values.
-    """
-    lw = weighted_contrastive(batch, weights)
-    if lam == 0.0:
-        return lw
-    out = ad.add(lw, ad.mul(dissim_align(batch, weights), lam))
-    if normalize:
-        out = ad.mul(out, 1.0 / (1.0 + lam))
-    return out
 
 
 @dataclass(frozen=True)

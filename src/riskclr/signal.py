@@ -381,24 +381,3 @@ def random_mask(view: SignalView, rng: np.random.Generator, p: float = MASK_PROB
     return replace(view, samples=samples,
                    augmentation=view.augmentation + (f"mask({mode},{n_mask})",))
 
-
-def random_lead(record, rng: np.random.Generator, fixed_lead: int | None = None) -> SignalView:
-    """Pick one lead of a 12-lead record uniformly (or a fixed lead).
-
-    Metadata stays with the record; the view only references it by id.
-    """
-    leads = np.asarray(record.leads)
-    if leads.shape[0] < 12 and fixed_lead is None:
-        raise ValueError(f"12-lead mode needs 12 leads, record has {leads.shape[0]}")
-    if fixed_lead is not None:
-        if not 1 <= fixed_lead <= leads.shape[0]:
-            raise ValueError(f"fixed lead {fixed_lead} out of range")
-        lead_id = fixed_lead
-    else:
-        lead_id = int(rng.integers(leads.shape[0])) + 1
-    return SignalView(
-        samples=leads[lead_id - 1].copy(),
-        fs=record.fs,
-        lead_id=lead_id,
-        source_id=record.subject_id,
-    )

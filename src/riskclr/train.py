@@ -434,7 +434,8 @@ def preprocess_downstream(ds: DownstreamDataset) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def _head_loss(logits: Tensor, targets: np.ndarray, task: str) -> Tensor:
+def _head_loss(z: Tensor, w: Tensor, b: Tensor, targets: np.ndarray, task: str) -> Tensor:
+    logits = ad.reshape(ad.dense(z, w, b), (z.data.shape[0],))
     y = targets.astype(logits.data.dtype)
     if task == "binary":
         # mean BCE-with-logits: softplus(s) - y * s
@@ -442,44 +443,76 @@ def _head_loss(logits: Tensor, targets: np.ndarray, task: str) -> Tensor:
     return ad.mean(ad.abs_(ad.sub(logits, y)))  # L1 on z-scored targets
 
 
-def _train_head(emb_tr: np.ndarray, y_tr: np.ndarray, emb_va: np.ndarray,
-                y_va: np.ndarray, task: str, cfg: DownstreamConfig):
-    h = emb_tr.shape[1]
-    rng = _stream(cfg.seed, "head")
-    w = ad.parameter(rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, 1)))
-    b = ad.parameter(np.zeros(1))
-    params = {"w": w, "b": b}
+@dataclass
+class _Targets:
+    """Downstream labels as the head fits them (z-scored for regression) and
+    the validation metrics on their original scale."""
+
+    task: str
+    train: np.ndarray
+    val: np.ndarray
+    val_raw: np.ndarray
+    scaler: TargetScaler | None
+
+    @classmethod
+    def of(cls, train_ds: DownstreamDataset, val_ds: DownstreamDataset, task: str) -> "_Targets":
+        y_tr = train_ds.labels(task).astype(np.float64)
+        y_va = val_ds.labels(task).astype(np.float64)
+        if task == "binary" and len(set(y_tr.tolist())) < 2:
+            raise ValueError("binary training needs both classes in the training labels")
+        if task != "regression":
+            return cls(task, y_tr, y_va, y_va, None)
+        scaler = TargetScaler.fit(y_tr)
+        return cls(task, scaler.normalize(y_tr), scaler.normalize(y_va), y_va, scaler)
+
+    def head(self, fitted: dict[str, np.ndarray]) -> LinearHead:
+        return LinearHead(w=fitted["head.w"].reshape(-1).astype(np.float64),
+                          b=float(fitted["head.b"][0]), task=self.task, scaler=self.scaler)
+
+    def metrics(self, head: LinearHead, emb_va: np.ndarray, val_loss: float) -> dict:
+        preds = head.predict(emb_va)
+        if self.task == "binary":
+            return {"val_auroc": auroc_binary(preds, self.val_raw.astype(int)),
+                    "val_loss": val_loss}
+        return {"val_mae": mae(preds, self.val_raw), "val_loss": val_loss}
+
+
+def _new_head(h: int, cfg: DownstreamConfig, dtype) -> tuple[Tensor, Tensor]:
+    w = _stream(cfg.seed, "head").normal(0.0, 1.0 / math.sqrt(h), size=(h, 1))
+    return ad.parameter(w.astype(dtype)), ad.parameter(np.zeros(1, dtype=dtype))
+
+
+def _fit(params: dict[str, Tensor], forward_loss, x_tr: np.ndarray, x_va: np.ndarray,
+         targets: _Targets, cfg: DownstreamConfig, salt: int) -> tuple[float, dict]:
+    """Minibatch Adam (L2 decay) under warm-restart cosine lr, early-stopped
+    on the validation loss; returns the best loss and the parameters there.
+
+    ``salt`` keys the per-epoch shuffle stream of this kind of fit.
+    """
     optimizer = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay, decoupled=False)
     schedule = Schedule(mode="cosine-warm-restarts", base_lr=cfg.lr, period=cfg.restart_period)
-
-    def head_logits(x: np.ndarray) -> Tensor:
-        return ad.reshape(ad.dense(Tensor(x), w, b), (x.shape[0],))
-
-    def val_loss() -> float:
-        return _head_loss(head_logits(emb_va), y_va, task).item()
-
-    best = (math.inf, w.data.copy(), float(b.data[0]))
+    best_loss, best = math.inf, {k: p.data.copy() for k, p in params.items()}
     bad = 0
-    n = emb_tr.shape[0]
+    n = x_tr.shape[0]
     for epoch in range(cfg.epochs):
         lr = schedule.lr(epoch)
-        order = _stream(cfg.seed, "order", epoch, 77).permutation(n)
+        order = _stream(cfg.seed, "order", epoch, salt).permutation(n)
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             with Tape() as tape:
-                loss = _head_loss(head_logits(emb_tr[sel]), y_tr[sel], task)
+                loss = forward_loss(x_tr[sel], targets.train[sel])
             tape.backward(loss)
             optimizer.step(lr=lr)
             optimizer.zero_grad()
-        vl = val_loss()
-        if vl < best[0]:
-            best = (vl, w.data.copy(), float(b.data[0]))
+        vl = forward_loss(x_va, targets.val).item()
+        if vl < best_loss:
+            best_loss, best = vl, {k: p.data.copy() for k, p in params.items()}
             bad = 0
         else:
             bad += 1
             if bad > cfg.patience:
                 break
-    return best
+    return best_loss, best
 
 
 def linear_probe(encoder: Encoder, train_ds: DownstreamDataset, val_ds: DownstreamDataset,
@@ -495,28 +528,16 @@ def linear_probe(encoder: Encoder, train_ds: DownstreamDataset, val_ds: Downstre
         signals_val = preprocess_downstream(val_ds)
     emb_tr = encoder.embed(signals_train).astype(np.float64)
     emb_va = encoder.embed(signals_val).astype(np.float64)
-    y_tr = train_ds.labels(cfg.task).astype(np.float64)
-    y_va = val_ds.labels(cfg.task).astype(np.float64)
-    if cfg.task == "binary" and len(set(y_tr.tolist())) < 2:
-        raise ValueError("binary probe needs both classes in the training labels")
+    targets = _Targets.of(train_ds, val_ds, cfg.task)
+    w, b = _new_head(emb_tr.shape[1], cfg, np.float64)
 
-    scaler = None
-    if cfg.task == "regression":
-        scaler = TargetScaler.fit(y_tr)
-        y_tr = scaler.normalize(y_tr)
-        y_va_n = scaler.normalize(y_va)
-    else:
-        y_va_n = y_va
+    def forward_loss(x: np.ndarray, y: np.ndarray) -> Tensor:
+        return _head_loss(Tensor(x), w, b, y, cfg.task)
 
-    best_vl, best_w, best_b = _train_head(emb_tr, y_tr, emb_va, y_va_n,
-                                          cfg.task, cfg)
-    head = LinearHead(w=best_w.reshape(-1), b=best_b, task=cfg.task, scaler=scaler)
-    preds = head.predict(emb_va.astype(np.float64))
-    if cfg.task == "binary":
-        metrics = {"val_auroc": auroc_binary(preds, y_va.astype(int)), "val_loss": best_vl}
-    else:
-        metrics = {"val_mae": mae(preds, y_va), "val_loss": best_vl}
-    return head, metrics
+    best_loss, best = _fit({"head.w": w, "head.b": b}, forward_loss, emb_tr, emb_va,
+                           targets, cfg, salt=77)
+    head = targets.head(best)
+    return head, targets.metrics(head, emb_va, best_loss)
 
 
 def evaluate_head(encoder: Encoder, head: LinearHead, ds: DownstreamDataset,
@@ -535,60 +556,18 @@ def finetune(encoder: Encoder, train_ds: DownstreamDataset, val_ds: DownstreamDa
     """Joint training of encoder and head on the downstream task."""
     x_tr = preprocess_downstream(train_ds)
     x_va = preprocess_downstream(val_ds)
-    y_tr = train_ds.labels(cfg.task).astype(np.float64)
-    y_va = val_ds.labels(cfg.task).astype(np.float64)
-    scaler = None
-    if cfg.task == "regression":
-        scaler = TargetScaler.fit(y_tr)
-        y_tr = scaler.normalize(y_tr)
-        y_va_n = scaler.normalize(y_va)
-    else:
-        y_va_n = y_va
-
-    h = encoder.config.output_dim
-    rng = _stream(cfg.seed, "head")
-    w = ad.parameter(rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, 1)).astype(encoder.dtype))
-    b = ad.parameter(np.zeros(1, dtype=encoder.dtype))
+    targets = _Targets.of(train_ds, val_ds, cfg.task)
+    w, b = _new_head(encoder.config.output_dim, cfg, encoder.dtype)
     params = dict(encoder.params)
     params.update({"head.w": w, "head.b": b})
-    optimizer = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay, decoupled=False)
-    schedule = Schedule(mode="cosine-warm-restarts", base_lr=cfg.lr, period=cfg.restart_period)
 
     def forward_loss(x: np.ndarray, y: np.ndarray) -> Tensor:
-        z = encoder.forward(x)
-        logits = ad.reshape(ad.dense(z, w, b), (x.shape[0],))
-        return _head_loss(logits, y, cfg.task)
+        return _head_loss(encoder.forward(x), w, b, y, cfg.task)
 
-    best = (math.inf, encoder.state_arrays(), w.data.copy(), float(b.data[0]))
-    bad = 0
-    n = x_tr.shape[0]
-    for epoch in range(cfg.epochs):
-        lr = schedule.lr(epoch)
-        order = _stream(cfg.seed, "order", epoch, 99).permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            sel = order[lo : lo + cfg.batch_size]
-            with Tape() as tape:
-                loss = forward_loss(x_tr[sel], y_tr[sel])
-            tape.backward(loss)
-            optimizer.step(lr=lr)
-            optimizer.zero_grad()
-        vl = forward_loss(x_va, y_va_n).item()
-        if vl < best[0]:
-            best = (vl, encoder.state_arrays(), w.data.copy(), float(b.data[0]))
-            bad = 0
-        else:
-            bad += 1
-            if bad > cfg.patience:
-                break
-    encoder.load_state_arrays(best[1])
-    head = LinearHead(w=best[2].reshape(-1).astype(np.float64), b=best[3],
-                      task=cfg.task, scaler=scaler)
-    preds = head.predict(encoder.embed(x_va).astype(np.float64))
-    if cfg.task == "binary":
-        metrics = {"val_auroc": auroc_binary(preds, y_va.astype(int)), "val_loss": best[0]}
-    else:
-        metrics = {"val_mae": mae(preds, y_va), "val_loss": best[0]}
-    return head, metrics
+    best_loss, best = _fit(params, forward_loss, x_tr, x_va, targets, cfg, salt=99)
+    encoder.load_state_arrays(best)
+    head = targets.head(best)
+    return head, targets.metrics(head, encoder.embed(x_va).astype(np.float64), best_loss)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 
 from .autodiff import grad_check
 from .encoder import STANDARD_CONFIGS, build
-from .losses import EmbeddingBatch, dissim_align, nt_xent, total_loss, weighted_contrastive
+from .losses import EmbeddingBatch, LossSpec, dissim_align, nt_xent, weighted_contrastive
 from .weighting import BatchRiskInfo, batch_weights, pairs_involution
 
 LOSS_NAMES = ("nt_xent", "weighted_contrastive", "dissim_align", "total_loss")
@@ -32,7 +32,7 @@ def loss_gradchecks(seed: int = 0, instances: int = 10, eps: float = 1e-5) -> di
         "nt_xent": lambda batch, wm: nt_xent(batch),
         "weighted_contrastive": weighted_contrastive,
         "dissim_align": dissim_align,
-        "total_loss": total_loss,
+        "total_loss": LossSpec("w+d").evaluate,
     }
     worst = {name: 0.0 for name in fns}
     grid = [(b, h) for b in (2, 4) for h in (4, 8)]
@@ -64,7 +64,7 @@ def encoder_gradcheck(seed: int = 0, n_samples: int = 2, t: int = 256,
         for name, tensor in zip(names, tensors):
             encoder.params[name] = tensor
         z = encoder.forward(views)
-        return total_loss(EmbeddingBatch(z, pos, tau=0.07), wm)
+        return LossSpec("w+d").evaluate(EmbeddingBatch(z, pos, tau=0.07), wm)
 
     return grad_check(f, points, eps=eps)
 

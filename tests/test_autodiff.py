@@ -87,15 +87,10 @@ class TestOpAdjoints:
         with pytest.raises(AutodiffError):
             ad.row_l2_normalize(Tensor(x))
 
-    def test_concat_reshape(self):
-        a = RNG.normal(size=(2, 3))
-        b = RNG.normal(size=(2, 5))
-
-        def f(at, bt):
-            c = ad.concat([at, bt], axis=1)
-            return ad.mean(ad.square(ad.reshape(c, (4, 4))))
-
-        assert grad_check(f, [a, b], eps=EPS) < TOL
+    def test_reshape(self):
+        a = RNG.normal(size=(2, 8))
+        assert grad_check(lambda at: ad.mean(ad.square(ad.reshape(at, (4, 4)))), [a],
+                          eps=EPS) < TOL
 
     @pytest.mark.parametrize("stride,groups", [(1, 1), (2, 1), (1, 2), (2, 4), (1, 4)])
     def test_conv1d(self, stride, groups):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from riskclr import container
 from riskclr.data import (
     DataFormatError,
     Dataset,
@@ -142,15 +143,33 @@ class TestContainer:
 
     def test_version_mismatch_rejected(self, small_pair, tmp_path):
         import hashlib
-        import struct
+        import json
 
         pre, _ = small_pair
-        blob = bytearray(save_bytes(pre)[:-32])
-        struct.pack_into("<I", blob, 8, 99)  # bump version field
-        blob = bytes(blob)
+        body = save_bytes(pre)[:-32]
+        start = len(container.MAGIC) + 4
+        end = start + int.from_bytes(body[len(container.MAGIC) : start], "little")
+        header = json.loads(body[start:end])
+        header["version"] += 1  # bump the header's version, then re-hash
+        raw = json.dumps(header, sort_keys=True).encode()
+        body = container.MAGIC + len(raw).to_bytes(4, "little") + raw + body[end:]
         path = tmp_path / "vers.rds"
-        path.write_bytes(blob + hashlib.sha256(blob).digest())
-        with pytest.raises(DataFormatError):
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(DataFormatError, match="version"):
+            load(path)
+
+    def test_checkpoint_is_not_a_dataset(self, tmp_path):
+        from riskclr.encoder import STANDARD_CONFIGS, build, save_checkpoint
+
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, build(STANDARD_CONFIGS["tiny"], seed=0))
+        with pytest.raises(DataFormatError, match="checkpoint"):
+            load(path)
+
+    def test_retired_framing_rejected(self, tmp_path):
+        path = tmp_path / "old.rds"
+        path.write_bytes(b"RCLRDATA" + b"\x00" * 64)
+        with pytest.raises(DataFormatError, match="retired"):
             load(path)
 
     def test_empty_dataset_roundtrip(self, tmp_path):

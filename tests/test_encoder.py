@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from riskclr import container
+from riskclr import encoder as encoder_mod
 from riskclr.autodiff import Tape
 from riskclr.encoder import (
     STANDARD_CONFIGS,
@@ -10,12 +12,11 @@ from riskclr.encoder import (
     EncoderConfig,
     build,
     load_checkpoint,
-    output_length,
     param_count,
     parameter_breakdown,
     save_checkpoint,
 )
-from riskclr.losses import EmbeddingBatch, total_loss
+from riskclr.losses import EmbeddingBatch, LossSpec
 from riskclr.weighting import BatchRiskInfo, batch_weights, pairs_involution
 
 TINY = STANDARD_CONFIGS["tiny"]
@@ -43,10 +44,6 @@ class TestConfig:
     def test_nonempty_stages(self):
         with pytest.raises(ValueError):
             EncoderConfig(hidden_dim=16, ratio=0.5, group_width=4, stages=())
-
-    def test_output_length_bookkeeping(self):
-        assert output_length(TINY, 2500) == 1250
-        assert output_length(TINY, 2501) == 1251
 
 
 class TestBuildDeterminism:
@@ -129,7 +126,7 @@ class TestGradients:
         wm = batch_weights(info, 0.2)
         with Tape() as tape:
             z = enc.forward(views)
-            loss = total_loss(EmbeddingBatch(z, info.positive_of, tau=0.07), wm)
+            loss = LossSpec("w+d").evaluate(EmbeddingBatch(z, info.positive_of, tau=0.07), wm)
         tape.backward(loss)
         dead = [n for n, p in enc.params.items()
                 if p.grad is None or not np.any(p.grad != 0.0)]
@@ -157,6 +154,28 @@ class TestCheckpoint:
         save_checkpoint(path, enc)
         back, _, _ = load_checkpoint(path)
         assert back.dtype == np.float32
+        for name in enc.params:
+            np.testing.assert_array_equal(back.params[name].data, enc.params[name].data)
+
+    def test_float32_stores_four_bytes_per_parameter(self, tmp_path):
+        enc = build(TINY, seed=6, dtype=np.float32)
+        path = tmp_path / "enc32.ckpt"
+        save_checkpoint(path, enc)
+        _, _, arrays = container.unpack(path.read_bytes(), "checkpoint")
+        assert all(a.dtype == np.dtype("<f4") for a in arrays.values())
+        assert sum(a.nbytes for a in arrays.values()) == 4 * param_count(TINY)
+        assert path.stat().st_size < 8 * param_count(TINY)
+
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        enc = build(TINY, seed=6, dtype=np.float32)
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, enc)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew initial values")
+
+        monkeypatch.setattr(encoder_mod, "_he_normal", no_draw)
+        back, _, _ = load_checkpoint(path)
         for name in enc.params:
             np.testing.assert_array_equal(back.params[name].data, enc.params[name].data)
 

@@ -10,10 +10,9 @@ from riskclr.autodiff import Tape, Tensor, grad_check
 from riskclr.losses import (
     EmbeddingBatch,
     LossSpec,
-    cosine_similarity,
+    cosine_matrix,
     dissim_align,
     nt_xent,
-    total_loss,
     weighted_contrastive,
 )
 from riskclr.weighting import BatchRiskInfo, WeightMatrix, batch_weights, pairs_involution
@@ -69,21 +68,25 @@ def random_case(rng, n_samples, h):
     return Z, pos, wm
 
 
+def cosine_of(a, b):
+    return cosine_matrix(Tensor(np.stack([a, b]))).data[0, 1]
+
+
 class TestCosine:
     def test_identity(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        assert cosine_of(v, v) == pytest.approx(1.0)
 
     def test_antipodal(self):
         v = np.array([0.5, -2.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0)
+        assert cosine_of(v, -v) == pytest.approx(-1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert cosine_of(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            cosine_similarity(np.zeros(3), np.ones(3))
+            cosine_of(np.zeros(3), np.ones(3))
 
 
 class TestNtXent:
@@ -187,14 +190,16 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
         Z, pos, wm = random_case(rng, 3, 6)
         batch = EmbeddingBatch(Tensor(Z), pos)
-        assert total_loss(batch, wm, lam=0.0).item() == weighted_contrastive(batch, wm).item()
+        got = LossSpec("w+d", lam=0.0).evaluate(batch, wm).item()
+        assert got == weighted_contrastive(batch, wm).item()
 
     def test_lambda_one_is_plain_sum(self):
         rng = np.random.default_rng(8)
         Z, pos, wm = random_case(rng, 3, 6)
         batch = EmbeddingBatch(Tensor(Z), pos)
         want = weighted_contrastive(batch, wm).item() + dissim_align(batch, wm).item()
-        assert total_loss(batch, wm, lam=1.0).item() == pytest.approx(want, abs=1e-12)
+        got = LossSpec("w+d", lam=1.0).evaluate(batch, wm).item()
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_normalized_mixture(self):
         rng = np.random.default_rng(9)
@@ -202,7 +207,7 @@ class TestTotalLoss:
         batch = EmbeddingBatch(Tensor(Z), pos)
         lw = weighted_contrastive(batch, wm).item()
         ld = dissim_align(batch, wm).item()
-        got = total_loss(batch, wm, lam=5.0, normalize=True).item()
+        got = LossSpec("w+d", lam=5.0, normalize=True).evaluate(batch, wm).item()
         assert got == pytest.approx((lw + 5.0 * ld) / 6.0, abs=1e-12)
 
     def test_loss_spec_variants(self):
@@ -238,7 +243,7 @@ class TestGradients:
                     return weighted_contrastive(batch, wm)
                 if which == "d":
                     return dissim_align(batch, wm)
-                return total_loss(batch, wm)
+                return LossSpec("w+d").evaluate(batch, wm)
 
             worst = max(worst, grad_check(f, [Z], eps=1e-5))
         assert worst < 1e-4
@@ -268,7 +273,7 @@ class TestGradients:
         wm = WeightMatrix(W=np.ones((4, 4)) - np.eye(4), alpha=0.2)
         with Tape() as tape:
             z = ad.matmul(Tensor(Z0), w)
-            loss = total_loss(EmbeddingBatch(z, pairs_involution(2)), wm)
+            loss = LossSpec("w+d").evaluate(EmbeddingBatch(z, pairs_involution(2)), wm)
         tape.backward(loss)
         assert w.grad is not None and np.any(w.grad != 0)
 

@@ -14,7 +14,6 @@ from riskclr.signal import (
     bandpass,
     butter_bandpass_sos,
     preprocess,
-    random_lead,
     random_mask,
     resample,
     sos_is_stable,
@@ -240,42 +239,6 @@ class TestRandomMask:
         out = random_mask(view, np.random.default_rng(3), p=1.0)
         zero = np.flatnonzero(out.samples == 0.0)
         assert zero[-1] - zero[0] + 1 == len(zero)
-
-
-class TestRandomLead:
-    class FakeRecord:
-        def __init__(self, n_leads=12, t=256):
-            rng = np.random.default_rng(0)
-            self.leads = rng.normal(size=(n_leads, t))
-            self.fs = 500.0
-            self.subject_id = "subj-1"
-
-    def test_fixed_lead_mode(self):
-        rec = self.FakeRecord()
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert random_lead(rec, rng, fixed_lead=1).lead_id == 1
-
-    def test_uniform_over_leads(self):
-        rec = self.FakeRecord()
-        rng = np.random.default_rng(1)
-        n = 120_000
-        counts = np.zeros(12)
-        for _ in range(n):
-            counts[random_lead(rec, rng).lead_id - 1] += 1
-        freq = counts / n
-        assert np.all(np.abs(freq - 1 / 12) <= 0.01)
-
-    def test_seeded(self):
-        rec = self.FakeRecord()
-        a = [random_lead(rec, np.random.default_rng(5)).lead_id for _ in range(5)]
-        b = [random_lead(rec, np.random.default_rng(5)).lead_id for _ in range(5)]
-        assert a == b
-
-    def test_too_few_leads(self):
-        rec = self.FakeRecord(n_leads=3)
-        with pytest.raises(ValueError):
-            random_lead(rec, np.random.default_rng(0))
 
 
 class TestPreprocessPipeline:

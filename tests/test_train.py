@@ -7,7 +7,7 @@ import pytest
 
 from riskclr import autodiff as ad
 from riskclr.data import SyntheticConfig, generate_synthetic, split
-from riskclr.encoder import STANDARD_CONFIGS, build
+from riskclr.encoder import STANDARD_CONFIGS, build, load_checkpoint
 from riskclr.losses import LossSpec
 from riskclr.train import (
     ABLATION_VARIANTS,
@@ -138,6 +138,37 @@ class TestPretrainLoop:
         for n in enc_full.params:
             np.testing.assert_array_equal(enc_full.params[n].data, enc_resume.params[n].data)
 
+    def test_torn_last_checkpoint_write_keeps_resume_point(self, tiny_world, tmp_path,
+                                                           monkeypatch):
+        import os
+
+        prep, _ = tiny_world
+        cfg = fast_cfg(epochs=4)
+        full = pretrain(prep, build(TINY, seed=5, dtype=np.float32), cfg)
+        part_dir = tmp_path / "part"
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), cfg, run_dir=part_dir,
+                 session_epochs=2)
+
+        def torn_replace(src, dst):
+            with open(src, "r+b") as fh:
+                fh.truncate(os.path.getsize(src) // 2)
+            raise OSError("simulated crash before the rename")
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", torn_replace)
+            with pytest.raises(OSError, match="simulated crash"):
+                pretrain(prep, build(TINY, seed=5, dtype=np.float32), cfg, run_dir=part_dir,
+                         resume_from=part_dir / "last.ckpt", session_epochs=1)
+        assert sorted(p.name for p in part_dir.iterdir()) == \
+               ["best.ckpt", "last.ckpt", "metrics.csv"]
+        assert load_checkpoint(part_dir / "last.ckpt")[2]["next_epoch"] == 2
+        enc = build(TINY, seed=5, dtype=np.float32)
+        resumed = pretrain(prep, enc, cfg, resume_from=part_dir / "last.ckpt")
+        assert [h["train_loss"] for h in resumed.history] == \
+               [h["train_loss"] for h in full.history[2:]]
+        for n in enc.params:
+            np.testing.assert_array_equal(full.encoder.params[n].data, enc.params[n].data)
+
     def test_patience_zero_stops_after_first_non_improvement(self, tiny_world):
         prep, _ = tiny_world
         enc = build(TINY, seed=5, dtype=np.float32)
@@ -207,6 +238,17 @@ class TestProbe:
         finetune(enc, tr, va, DownstreamConfig(task="binary", epochs=1))
         changed = any(not np.array_equal(enc.params[n].data, before[n]) for n in before)
         assert changed
+
+    def test_finetune_needs_both_classes(self, tiny_world):
+        from dataclasses import replace
+
+        from riskclr.data import DownstreamDataset
+
+        prep, (tr, va, te) = tiny_world
+        one_class = DownstreamDataset([replace(s, label_binary=0) for s in tr.samples])
+        enc = build(TINY, seed=5, dtype=np.float32)
+        with pytest.raises(ValueError, match="both classes"):
+            finetune(enc, one_class, va, DownstreamConfig(task="binary", epochs=1))
 
     def test_finetune_deterministic(self, tiny_world):
         prep, (tr, va, te) = tiny_world
