@@ -67,37 +67,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the heavy lifting lives in the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return mul(sub(self, other), -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class _Node:
@@ -733,10 +705,6 @@ def grad_check(
             if err > worst:
                 worst = err
     return worst
-
-
-def tensor(data, requires_grad: bool = False, name: str | None = None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, name=name)
 
 
 def parameter(data, name: str | None = None) -> Tensor:

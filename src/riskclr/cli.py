@@ -63,9 +63,11 @@ def _dataclass_from(section: dict, cls, overrides: dict):
 
 
 def _echo_config(run_dir: Path, payload: dict) -> None:
+    from riskclr.container import write_atomic
+
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                                    default=str) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    write_atomic(run_dir / "config.json", text.encode("utf-8"))
 
 
 def _encoder_config(name: str):
@@ -91,6 +93,7 @@ def main() -> None:
               help="imputation mode for missing covariates")
 def score2_cmd(input_path, output_path, seed, deterministic):
     """Score metadata rows; emits r and m per row."""
+    from riskclr.container import write_csv
     from riskclr.risk_score import CSV_COLUMNS, record_from_csv_row, risk_from_record
 
     path = Path(input_path)
@@ -110,12 +113,13 @@ def score2_cmd(input_path, output_path, seed, deterministic):
             out["r"] = repr(rs.r)
             out["m"] = rs.missing_count
             rows_out.append(out)
-    target = sys.stdout if output_path == "-" else open(output_path, "w", newline="")
-    writer = csv.DictWriter(target, fieldnames=list(CSV_COLUMNS) + ["r", "m"])
+    fieldnames = list(CSV_COLUMNS) + ["r", "m"]
+    if output_path != "-":
+        write_csv(output_path, fieldnames, rows_out)
+        return
+    writer = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
     writer.writeheader()
     writer.writerows(rows_out)
-    if target is not sys.stdout:
-        target.close()
 
 
 @main.command("gen-data")
@@ -126,7 +130,7 @@ def score2_cmd(input_path, output_path, seed, deterministic):
 @click.option("--seed", type=int, default=None)
 def gen_data_cmd(config_path, out_dir, n_subjects, n_downstream, seed):
     """Generate the synthetic pretraining + downstream datasets."""
-    from riskclr.data import SyntheticConfig, generate_synthetic, save
+    from riskclr.data import SyntheticConfig, export_metadata_csv, generate_synthetic, save
 
     section = _load_config_file(config_path).get("synthetic", {})
     cfg = _dataclass_from(section, SyntheticConfig,
@@ -136,8 +140,6 @@ def gen_data_cmd(config_path, out_dir, n_subjects, n_downstream, seed):
     pre, down = generate_synthetic(cfg)
     save(pre, run_dir / "pretrain.rds")
     save(down, run_dir / "downstream.rds")
-    from riskclr.data import export_metadata_csv
-
     export_metadata_csv(pre, run_dir / "metadata.csv")
     click.echo(f"wrote {len(pre)} pretraining records and {len(down)} downstream samples to {run_dir}")
 
@@ -233,6 +235,7 @@ def finetune_cmd(config_path, ckpt_path, data_path, run_dir, task, seed):
 
 
 def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode):
+    from riskclr.container import write_csv
     from riskclr.encoder import CheckpointError, load_checkpoint
     from riskclr.train import evaluate_head, finetune, linear_probe
 
@@ -250,13 +253,8 @@ def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, f
     fn = finetune if finetune_mode else linear_probe
     head, val_metrics = fn(encoder, tr, va, cfg)
     test_metrics = evaluate_head(encoder, head, te)
-    rows = [{"split": "val", **{k: v for k, v in val_metrics.items()}},
-            {"split": "test", **test_metrics}]
-    with open(run / "metrics.csv", "w", newline="") as fh:
-        keys = sorted({k for r in rows for k in r})
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
+    rows = [{"split": "val", **val_metrics}, {"split": "test", **test_metrics}]
+    write_csv(run / "metrics.csv", sorted({k for r in rows for k in r}), rows)
     click.echo(json.dumps({"val": val_metrics, "test": test_metrics}, default=float))
 
 
@@ -271,10 +269,10 @@ def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, f
               help="also run the normalized w+d mixtures (5,2,1,0.5,0.2)")
 def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, lam_mixes):
     """Pretrain+probe each loss variant under identical seeds; emit a table."""
+    from riskclr.container import write_csv
     from riskclr.data import Dataset, DownstreamDataset, split
     from riskclr.train import (ABLATION_VARIANTS, DownstreamConfig, PreparedPretrain,
-                               PretrainConfig, ablate, lambda_mix_variants,
-                               write_ablation_csv)
+                               PretrainConfig, ablate, lambda_mix_variants)
 
     raw = _load_config_file(config_path)
     cfg = _dataclass_from(raw.get("pretrain", {}), PretrainConfig, {"epochs": epochs})
@@ -293,7 +291,7 @@ def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, 
                                          deterministic_impute=cfg.deterministic_impute)
     rows = ablate(prep, enc_cfg, tr, va, te, cfg, probe_cfg, variants=variants,
                   encoder_seed=cfg.seed)
-    write_ablation_csv(run / "ablation.csv", rows)
+    write_csv(run / "ablation.csv", list(rows[0]), rows)
     for row in rows:
         click.echo(json.dumps(row, default=float))
 
@@ -307,6 +305,9 @@ def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, 
               help="include the end-to-end encoder+loss check (slower)")
 def gradcheck_cmd(tolerance, dump_w, seed, with_encoder):
     """Finite-difference gradient checks; exits nonzero above tolerance."""
+    import io
+
+    from riskclr.container import write_atomic
     from riskclr.validation import encoder_gradcheck, loss_gradchecks, random_weight_batch
 
     worst = loss_gradchecks(seed=seed)
@@ -318,7 +319,9 @@ def gradcheck_cmd(tolerance, dump_w, seed, with_encoder):
         click.echo(f"encoder+total: max rel err {err:.3e}")
     if dump_w:
         W = random_weight_batch(seed=seed)
-        np.savetxt(dump_w, W, delimiter=",")
+        text = io.StringIO()
+        np.savetxt(text, W, delimiter=",")
+        write_atomic(dump_w, text.getvalue().encode("utf-8"))
         click.echo(f"wrote weight matrix {W.shape} to {dump_w}")
     if max(worst.values()) > tolerance:
         raise CliError(f"gradient check failed tolerance {tolerance}", 1)

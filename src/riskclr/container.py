@@ -8,14 +8,18 @@ the caller's ``fields``, and per array its name, little-endian dtype string
 and shape. Each array is stored C-ordered in its own dtype.
 
 Readers check the length, magic, checksum, version and kind in that order;
-files in the earlier per-kind framings are rejected, not converted. Every
-file is written atomically: a temp file in the target directory, flushed
-and fsynced, then renamed over the target.
+files in the earlier per-kind framings are rejected, not converted.
+
+Every file riskclr writes, containers and CSV or JSON alike, goes through
+``write_atomic``: a temp file in the target directory, flushed and fsynced,
+then renamed over the target.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -110,3 +114,12 @@ def write_atomic(path: str | os.PathLike, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path: str | os.PathLike, fieldnames, rows) -> None:
+    """Render dict ``rows`` as CSV under a header of ``fieldnames``; write atomically."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(fieldnames))
+    writer.writeheader()
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode("utf-8"))

@@ -1,5 +1,10 @@
-"""Dataset containers, deterministic splits, file I/O, and the synthetic
+"""Columnar datasets, deterministic splits, file I/O, and the synthetic
 risk-structured ECG generator.
+
+A dataset is a set of equal-length columns, one row per subject record, at
+one sample rate ``fs``: 12-lead ``(n, 12, t)`` or single-lead ``(n, t)``
+float32 signals plus subject IDs and metadata or labels. The arrays pass as
+they are from the generator to the container and the trainer.
 
 The synthetic generator gives every subject a full latent covariate set, a
 true risk from it, and an ECG whose heart rate, T-wave amplitude, and
@@ -8,10 +13,10 @@ strengths). The observed metadata then hides some covariates, so the
 training-side risk estimate sees realistic missingness while downstream
 labels derive from the clean latent.
 
-Datasets persist in the shared container (see ``container``): subject IDs
-and metadata in the JSON header (``null`` for a missing covariate), leads as
-one float32 array. Metadata is also exportable to the CSV schema shared
-with the scoring CLI.
+Datasets persist in the shared container (see ``container``): ``fs``,
+subject IDs and metadata in the JSON header (``null`` for a missing
+covariate), each array in its own dtype. Metadata is also exportable to the
+CSV schema shared with the scoring CLI.
 """
 
 from __future__ import annotations
@@ -19,78 +24,84 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import container
 from .container import DataFormatError
-from .risk_score import MetadataRecord, impute, score2
+from .risk_score import CSV_COLUMNS, MetadataRecord, impute, record_to_csv_row, score2
 
 DATA_ROOT_ENV = "RISKCLR_DATA_ROOT"
 
+
+class _Columns:
+    """What both datasets share: one sample rate and equal-length columns."""
+
+    def _check_columns(self, n: int, **dtypes) -> None:
+        """Check ``fs``; make each named column a list (dtype None) or a 1-D array."""
+        self.fs = float(self.fs)
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be a positive sample rate in Hz, got {self.fs!r}")
+        for name, dtype in dtypes.items():
+            values = getattr(self, name)
+            col = list(values) if dtype is None else np.asarray(values, dtype=dtype)
+            if getattr(col, "ndim", 1) != 1 or len(col) != n:
+                raise ValueError(f"column {name!r} needs {n} rows, got shape {np.shape(col)}")
+            setattr(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.subject_ids)
+
+    def take(self, idx):
+        """The rows at integer positions ``idx``, in that order, as a new dataset."""
+        idx = np.asarray(idx, dtype=np.int64)
+        rows = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "fs"}
+        return replace(self, **{k: v[idx] if isinstance(v, np.ndarray) else [v[i] for i in idx]
+                                for k, v in rows.items()})
+
+    def content_hash(self) -> str:
+        return hashlib.sha256(save_bytes(self)).hexdigest()
+
+
 @dataclass
-class ECGRecord:
-    subject_id: str
-    leads: np.ndarray  # (n_leads, t) float32, all leads same length and rate
+class Dataset(_Columns):
+    """Pretraining cohort; one row per subject."""
+
+    leads: np.ndarray  # (n, 12, t) float32
     fs: float
-    metadata: MetadataRecord
+    subject_ids: list[str]
+    metadata: list[MetadataRecord]
 
     def __post_init__(self):
         self.leads = np.asarray(self.leads, dtype=np.float32)
-        if self.leads.ndim != 2:
-            raise ValueError("leads must be (n_leads, t)")
+        if self.leads.ndim != 3 or self.leads.shape[1] != 12:
+            raise ValueError(f"leads must be (n, 12, t), got shape {self.leads.shape}")
+        self._check_columns(len(self.leads), subject_ids=None, metadata=None)
 
 
 @dataclass
-class Dataset:
-    """Pretraining container; one record per subject."""
+class DownstreamDataset(_Columns):
+    """Labelled single-lead evaluation data; the lead is fixed across rows."""
 
-    records: list[ECGRecord]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def fs(self) -> float:
-        return self.records[0].fs if self.records else 0.0
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(save_bytes(self)).hexdigest()
-
-
-@dataclass
-class DownstreamSample:
-    subject_id: str
-    signal: np.ndarray  # (t,) float32, single lead
+    signals: np.ndarray  # (n, t) float32
     fs: float
-    lead_id: int
-    label_real: float
-    label_binary: int
+    subject_ids: list[str]
+    lead_id: np.ndarray  # (n,) int64, 1-based
+    label_real: np.ndarray  # (n,) float64
+    label_binary: np.ndarray  # (n,) int64
 
-
-@dataclass
-class DownstreamDataset:
-    """Labeled single-lead evaluation data; the lead is fixed across samples."""
-
-    samples: list[DownstreamSample]
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def fs(self) -> float:
-        return self.samples[0].fs if self.samples else 0.0
+    def __post_init__(self):
+        self.signals = np.asarray(self.signals, dtype=np.float32)
+        if self.signals.ndim != 2:
+            raise ValueError(f"signals must be (n, t), got shape {self.signals.shape}")
+        self._check_columns(len(self.signals), subject_ids=None, lead_id=np.int64,
+                            label_real=np.float64, label_binary=np.int64)
 
     def labels(self, task: str) -> np.ndarray:
-        if task == "binary":
-            return np.array([s.label_binary for s in self.samples], dtype=np.int64)
-        if task == "regression":
-            return np.array([s.label_real for s in self.samples], dtype=np.float64)
-        raise ValueError(f"unknown task {task!r}")
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(save_bytes(self)).hexdigest()
+        if task not in ("binary", "regression"):
+            raise ValueError(f"unknown task {task!r}")
+        return (self.label_binary if task == "binary" else self.label_real).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +214,7 @@ def _beat_train(rng: np.random.Generator, cfg: SyntheticConfig, hr_bpm: float,
 
 
 def _generate_subject(cfg: SyntheticConfig, index: int):
+    """(leads (12, t) float64, observed metadata, true risk, heart rate)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
     latent = _subject_latents(rng)
     full = MetadataRecord(**latent)
@@ -227,42 +239,29 @@ def _generate_subject(cfg: SyntheticConfig, index: int):
     for key in ("smoking", "diabetes", "total_cholesterol", "hdl_cholesterol"):
         if rng.random() >= cfg.optional_presence:
             observed[key] = None
-    record = ECGRecord(
-        subject_id=f"synth-{cfg.seed}-{index:05d}",
-        leads=leads.astype(np.float32),
-        fs=cfg.fs,
-        metadata=MetadataRecord(**observed),
-    )
-    return record, r_true, hr
+    return leads, MetadataRecord(**observed), r_true, hr
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, DownstreamDataset]:
     """Build the pretraining and downstream datasets from one seeded config."""
-    total = cfg.n_subjects + cfg.n_downstream
-    records, risks, rates = [], [], []
-    for i in range(total):
-        rec, r, hr = _generate_subject(cfg, i)
-        records.append(rec)
-        risks.append(r)
-        rates.append(hr)
-
-    pretrain = Dataset(records=records[: cfg.n_subjects])
-
-    down_records = records[cfg.n_subjects :]
-    down_risks = np.array(risks[cfg.n_subjects :])
-    threshold = float(np.quantile(down_risks, cfg.binary_quantile)) if len(down_risks) else 0.0
-    samples = [
-        DownstreamSample(
-            subject_id=rec.subject_id,
-            signal=rec.leads[0].copy(),  # lead I, fixed across the dataset
-            fs=rec.fs,
-            lead_id=1,
-            label_real=float(r),
-            label_binary=int(r > threshold),
-        )
-        for rec, r in zip(down_records, down_risks)
-    ]
-    return pretrain, DownstreamDataset(samples=samples)
+    n_pre, n_down = cfg.n_subjects, cfg.n_downstream
+    t = int(cfg.duration * cfg.fs)
+    leads = np.empty((n_pre, 12, t), dtype=np.float32)
+    signals = np.empty((n_down, t), dtype=np.float32)
+    risks, metadata = np.empty(n_down), []
+    for i in range(n_pre + n_down):
+        subject_leads, meta, r, _ = _generate_subject(cfg, i)
+        if i < n_pre:
+            leads[i] = subject_leads
+            metadata.append(meta)
+        else:
+            signals[i - n_pre] = subject_leads[0]  # lead I, fixed across the dataset
+            risks[i - n_pre] = r
+    ids = [f"synth-{cfg.seed}-{i:05d}" for i in range(n_pre + n_down)]
+    threshold = float(np.quantile(risks, cfg.binary_quantile)) if n_down else 0.0
+    return (Dataset(leads, cfg.fs, ids[:n_pre], metadata),
+            DownstreamDataset(signals, cfg.fs, ids[n_pre:], lead_id=np.ones(n_down),
+                              label_real=risks, label_binary=risks > threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -283,69 +282,45 @@ def split(dataset, fractions, mode: str = "sequential", seed: int = 0):
     "sequential" slices in stored order; "by-subject" shuffles subjects with
     the seed and never splits one subject across partitions.
     """
-    items = dataset.records if isinstance(dataset, Dataset) else dataset.samples
-    n = len(items)
     if mode == "sequential":
-        b1, b2, _ = _boundaries(n, fractions)
-        parts = [items[:b1], items[b1:b2], items[b2:]]
+        rank, n_ranks = np.arange(len(dataset)), len(dataset)
     elif mode == "by-subject":
-        subjects = list(dict.fromkeys(it.subject_id for it in items))
+        subjects = list(dict.fromkeys(dataset.subject_ids))
         order = np.random.default_rng(seed).permutation(len(subjects))
-        shuffled = [subjects[i] for i in order]
-        b1, b2, _ = _boundaries(len(shuffled), fractions)
-        bucket = {s: 0 for s in shuffled[:b1]}
-        bucket.update({s: 1 for s in shuffled[b1:b2]})
-        bucket.update({s: 2 for s in shuffled[b2:]})
-        parts = [[], [], []]
-        for it in items:
-            parts[bucket[it.subject_id]].append(it)
+        position = {subjects[i]: p for p, i in enumerate(order)}
+        rank = np.array([position[s] for s in dataset.subject_ids], dtype=np.int64)
+        n_ranks = len(subjects)
     else:
         raise ValueError(f"unknown split mode {mode!r}")
-    wrap = Dataset if isinstance(dataset, Dataset) else DownstreamDataset
-    return tuple(wrap(p) for p in parts)
+    b1, b2, _ = _boundaries(n_ranks, fractions)
+    bucket = (rank >= b1).astype(np.int64) + (rank >= b2)
+    return tuple(dataset.take(np.flatnonzero(bucket == k)) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
 # container I/O
 
 
-def _stacked(rows: list[np.ndarray], ndim: int) -> np.ndarray:
-    if not rows:
-        return np.zeros((0,) * ndim, dtype=np.float32)
-    return np.stack(rows).astype(np.float32, copy=False)
-
-
 def save_bytes(dataset) -> bytes:
-    fields = {"fs": float(dataset.fs)}
+    header = {"fs": dataset.fs, "subject_ids": dataset.subject_ids}
     if isinstance(dataset, Dataset):
-        fields["subject_ids"] = [r.subject_id for r in dataset.records]
-        fields["metadata"] = [asdict(r.metadata) for r in dataset.records]
-        leads = _stacked([r.leads for r in dataset.records], 3)
-        return container.pack("pretrain", fields, {"leads": leads})
-    samples = dataset.samples
-    fields["subject_ids"] = [s.subject_id for s in samples]
-    return container.pack("downstream", fields, {
-        "signals": _stacked([s.signal for s in samples], 2),
-        "lead_id": np.array([s.lead_id for s in samples], dtype=np.int64),
-        "label_real": np.array([s.label_real for s in samples], dtype=np.float64),
-        "label_binary": np.array([s.label_binary for s in samples], dtype=np.int64),
-    })
+        header["metadata"] = [asdict(m) for m in dataset.metadata]
+        return container.pack("pretrain", header, {"leads": dataset.leads})
+    names = ("signals", "lead_id", "label_real", "label_binary")
+    return container.pack("downstream", header, {k: getattr(dataset, k) for k in names})
 
 
 def load_bytes(blob: bytes):
-    kind, fields, arrays = container.unpack(blob, "pretrain", "downstream")
-    fs, ids = fields["fs"], fields["subject_ids"]
-    if kind == "pretrain":
-        leads = arrays["leads"].copy()
-        return Dataset(records=[
-            ECGRecord(subject_id=sid, leads=lead, fs=fs, metadata=MetadataRecord(**meta))
-            for sid, lead, meta in zip(ids, leads, fields["metadata"])])
-    columns = zip(ids, arrays["signals"].copy(), arrays["lead_id"].tolist(),
-                  arrays["label_real"].tolist(), arrays["label_binary"].tolist())
-    return DownstreamDataset(samples=[
-        DownstreamSample(subject_id=sid, signal=sig, fs=fs, lead_id=lead_id,
-                         label_real=label_real, label_binary=label_binary)
-        for sid, sig, lead_id, label_real, label_binary in columns])
+    kind, header, arrays = container.unpack(blob, "pretrain", "downstream")
+    columns = {name: arr.copy() for name, arr in arrays.items()}
+    try:
+        if kind == "pretrain":
+            metadata = [MetadataRecord(**meta) for meta in header["metadata"]]
+            return Dataset(fs=header["fs"], subject_ids=header["subject_ids"],
+                           metadata=metadata, **columns)
+        return DownstreamDataset(fs=header["fs"], subject_ids=header["subject_ids"], **columns)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed {kind} container: {exc}") from None
 
 
 def save(dataset, path: str | os.PathLike) -> None:
@@ -365,23 +340,15 @@ def load_noise_bank(path: str | os.PathLike):
     from .signal import NoiseBank
 
     with open(path, "rb") as fh:
-        _, fields, arrays = container.unpack(fh.read(), "arrays")
-    return NoiseBank(fs=fields["fs"], recordings={k: v.copy() for k, v in arrays.items()})
+        _, header, arrays = container.unpack(fh.read(), "arrays")
+    return NoiseBank(fs=header["fs"], recordings={k: v.copy() for k, v in arrays.items()})
 
 
 def export_metadata_csv(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write the metadata sidecar in the schema the scoring CLI reads."""
-    import csv
-
-    from .risk_score import CSV_COLUMNS, record_to_csv_row
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=("subject_id",) + CSV_COLUMNS)
-        writer.writeheader()
-        for rec in dataset.records:
-            row = {"subject_id": rec.subject_id}
-            row.update(record_to_csv_row(rec.metadata))
-            writer.writerow(row)
+    rows = [{"subject_id": sid, **record_to_csv_row(meta)}
+            for sid, meta in zip(dataset.subject_ids, dataset.metadata)]
+    container.write_csv(path, ("subject_id",) + CSV_COLUMNS, rows)
 
 
 def data_root() -> str:

@@ -204,10 +204,6 @@ class Encoder:
         for name, arr in new.items():
             self.params[name].data = arr
 
-    def zero_grads(self) -> None:
-        for tensor in self.params.values():
-            tensor.grad = None
-
 
 def build(config: EncoderConfig, seed: int = 0, dtype=np.float64) -> Encoder:
     """Deterministically initialize an encoder from its config and seed."""

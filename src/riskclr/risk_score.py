@@ -46,8 +46,8 @@ class MetadataRecord:
     def __post_init__(self):
         for name in ("age", "sbp", "total_cholesterol", "hdl_cholesterol"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive when present, got {v}")
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite when present, got {v}")
         for name in ("smoking", "diabetes"):
             v = getattr(self, name)
             if v is not None and v not in (0, 1):

@@ -9,8 +9,8 @@ moments, and the epoch cursor.
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import Tape, Tensor
 from .data import Dataset, DownstreamDataset
 from .encoder import Encoder, build, load_checkpoint, save_checkpoint
@@ -113,6 +114,34 @@ class Schedule:
 # configuration
 
 
+def _integer(lo: int, hi: float = math.inf):
+    rule = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi, rule
+
+
+def _one_of(*options):
+    return lambda v: v in options, f"one of {options}"
+
+
+_INTEGER = (lambda v: isinstance(v, numbers.Integral), "an integer")
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
+def _check_fields(cfg, **rules) -> None:
+    """Raise ValueError naming the first field of ``cfg`` that breaks its
+    (predicate, description) rule; a predicate that raises counts as broken."""
+    for name, (ok, rule) in rules.items():
+        value = getattr(cfg, name)
+        try:
+            good = bool(ok(value))
+        except TypeError:
+            good = False
+        if not good:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     batch_size: int = 64
@@ -135,10 +164,16 @@ class PretrainConfig:
     dtype: str = "float32"  # storage mode for training tensors
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch size must be at least 2")
-        if min(self.lr, self.weight_decay, self.tau) <= 0 and self.weight_decay != 0:
-            raise ValueError("rates must be positive")
+        _check_fields(
+            self, batch_size=_integer(2), epochs=_integer(1), lr=_POSITIVE,
+            weight_decay=_NON_NEGATIVE, tau=_POSITIVE, alpha=_UNIT, patience=_integer(0),
+            seed=_INTEGER, lead_mode=_one_of("all-12", "fixed-lead"),
+            fixed_lead=_integer(1, 12), val_fraction=(lambda v: 0 <= v < 1, "in [0, 1)"),
+            loss=(lambda v: isinstance(v, LossSpec), "a LossSpec"),
+            noise_intensity=_NON_NEGATIVE, mask_prob=_UNIT, mask_fraction=_UNIT,
+            mask_mode=_one_of("contiguous", "scattered"),
+            deterministic_impute=(lambda v: isinstance(v, bool), "a bool"),
+            dtype=_one_of("float32", "float64"))
 
 
 @dataclass(frozen=True)
@@ -151,6 +186,12 @@ class DownstreamConfig:
     patience: int = 5
     restart_period: int = 10
     seed: int = 42
+
+    def __post_init__(self):
+        _check_fields(
+            self, task=_one_of("binary", "regression"), batch_size=_integer(1),
+            epochs=_integer(1), lr=_POSITIVE, weight_decay=_NON_NEGATIVE,
+            patience=_integer(0), restart_period=_integer(1), seed=_INTEGER)
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +228,18 @@ class PreparedPretrain:
                      deterministic_impute: bool = False) -> "PreparedPretrain":
         if len(ds) == 0:
             raise ValueError("empty pretraining dataset")
-        raw = np.stack([rec.leads for rec in ds.records]).astype(np.float64)
-        n, n_leads, _ = raw.shape
-        flat, _ = preprocess(raw.reshape(n * n_leads, -1), fs_in=ds.fs)
+        n, n_leads, t = ds.leads.shape
+        flat, _ = preprocess(ds.leads.reshape(n * n_leads, t).astype(np.float64), fs_in=ds.fs)
         signals = flat.reshape(n, n_leads, -1).astype(np.float32)
         risks = np.empty(n)
         missing = np.empty(n, dtype=np.int64)
-        for i, rec in enumerate(ds.records):
-            rs = risk_from_record(rec.metadata, rng=_stream(seed, "impute", i),
+        for i, meta in enumerate(ds.metadata):
+            rs = risk_from_record(meta, rng=_stream(seed, "impute", i),
                                   deterministic=deterministic_impute)
             risks[i] = rs.r
             missing[i] = rs.missing_count
         return cls(signals=signals, risks=risks, missing=missing,
-                   subject_ids=[r.subject_id for r in ds.records], fs=500.0)
+                   subject_ids=list(ds.subject_ids), fs=500.0)
 
     def __len__(self) -> int:
         return self.signals.shape[0]
@@ -384,7 +424,8 @@ def pretrain(
             save_checkpoint(run_path / "last.ckpt", encoder, extra=extra,
                             meta={"next_epoch": epoch + 1, "best_val": best_val,
                                   "best_epoch": best_epoch, "bad_epochs": bad_epochs})
-            _write_history(run_path / "metrics.csv", history)
+            container.write_csv(run_path / "metrics.csv",
+                                ("epoch", "lr", "train_loss", "val_loss"), history)
 
         if bad_epochs > cfg.patience:
             break
@@ -398,13 +439,6 @@ def pretrain(
                               "epochs_run": len(history)})
     return PretrainResult(encoder=encoder, history=history, best_epoch=best_epoch,
                           best_val=best_val, checkpoint_path=ckpt_path)
-
-
-def _write_history(path: Path, history: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epoch", "lr", "train_loss", "val_loss"])
-        writer.writeheader()
-        writer.writerows(history)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +463,7 @@ class LinearHead:
 
 def preprocess_downstream(ds: DownstreamDataset) -> np.ndarray:
     """Pipeline-preprocessed signals for a downstream dataset (N, T)."""
-    raw = np.stack([s.signal for s in ds.samples]).astype(np.float64)
-    out, _ = preprocess(raw, fs_in=ds.fs)
+    out, _ = preprocess(ds.signals.astype(np.float64), fs_in=ds.fs)
     return out.astype(np.float32)
 
 
@@ -593,17 +626,25 @@ def ablate(prep: PreparedPretrain, encoder_config, down_train: DownstreamDataset
            cfg: PretrainConfig, probe_cfg: DownstreamConfig,
            variants: tuple[LossSpec, ...] = ABLATION_VARIANTS,
            encoder_seed: int = 0) -> list[dict]:
-    """One pretrain+probe per loss variant under identical seeds and data order."""
+    """One pretrain+probe per loss variant under identical seeds and data order.
+
+    The noise bank and the preprocessed downstream signals depend on no
+    variant, so they are built once and shared.
+    """
     if not variants:
         raise ValueError("variants must be non-empty")
+    bank = NoiseBank.synthetic(fs=prep.fs, seed=cfg.seed)
+    sig_train, sig_val, sig_test = (preprocess_downstream(d)
+                                    for d in (down_train, down_val, down_test))
     rows = []
     for spec in variants:
         enc = build(encoder_config, seed=encoder_seed, dtype=np.dtype(cfg.dtype))
         run_cfg = replace(cfg, loss=spec)
         t0 = time.time()
-        result = pretrain(prep, enc, run_cfg)
-        head, _ = linear_probe(enc, down_train, down_val, probe_cfg)
-        test = evaluate_head(enc, head, down_test)
+        result = pretrain(prep, enc, run_cfg, bank=bank)
+        head, _ = linear_probe(enc, down_train, down_val, probe_cfg,
+                               signals_train=sig_train, signals_val=sig_val)
+        test = evaluate_head(enc, head, down_test, signals=sig_test)
         rows.append({
             "variant": spec.label(),
             "lam": spec.lam if spec.kind in ("nce+d", "w+d") else "",
@@ -615,10 +656,3 @@ def ablate(prep: PreparedPretrain, encoder_config, down_train: DownstreamDataset
         })
     return rows
 
-
-def write_ablation_csv(path, rows: list[dict]) -> None:
-    keys = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)

@@ -48,7 +48,7 @@ class BatchRiskInfo:
             raise ValueError("r, m, positive_of must share an even length 2B")
         if np.any(pos == np.arange(n)) or np.any(pos[pos] != np.arange(n)):
             raise ValueError("positive_of must be an involution without fixed points")
-        if np.any((r < 0) | (r > 1)):
+        if not np.all((r >= 0) & (r <= 1)):  # NaN fails here, not as a pair mismatch
             raise ValueError("risk scores must lie in [0, 1]")
         if np.any((m < 0) | (m > self.n_covariates)):
             raise ValueError("missing counts must lie in [0, A]")

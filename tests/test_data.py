@@ -11,6 +11,7 @@ from riskclr.data import (
     SyntheticConfig,
     generate_synthetic,
     load,
+    load_bytes,
     load_noise_bank,
     save,
     save_bytes,
@@ -37,9 +38,10 @@ class TestGenerator:
     def test_shapes_and_kinds(self, small_pair):
         pre, down = small_pair
         assert len(pre) == 24 and len(down) == 16
-        assert pre.records[0].leads.shape == (12, 1000)
-        assert down.samples[0].signal.shape == (1000,)
-        assert all(s.lead_id == 1 for s in down.samples)
+        assert pre.leads.shape == (24, 12, 1000) and pre.leads.dtype == np.float32
+        assert down.signals.shape == (16, 1000) and down.signals.dtype == np.float32
+        assert pre.fs == down.fs == 250.0
+        assert np.all(down.lead_id == 1)
 
     def test_risk_heart_rate_correlation(self):
         # default coupling must tie risk to heart rate clearly
@@ -49,7 +51,7 @@ class TestGenerator:
 
         risks, rates = [], []
         for i in range(256):
-            _, r, hr = _generate_subject(cfg, i)
+            _, _, r, hr = _generate_subject(cfg, i)
             risks.append(r)
             rates.append(hr)
         rho = np.corrcoef(risks, rates)[0, 1]
@@ -62,7 +64,7 @@ class TestGenerator:
 
         risks, rates = [], []
         for i in range(64):
-            _, r, hr = _generate_subject(cfg, i)
+            _, _, r, hr = _generate_subject(cfg, i)
             risks.append(r)
             rates.append(hr)
         assert abs(np.corrcoef(risks, rates)[0, 1]) < 0.3
@@ -74,15 +76,15 @@ class TestGenerator:
 
     def test_metadata_always_has_core_triple(self, small_pair):
         pre, _ = small_pair
-        for rec in pre.records:
-            assert rec.metadata.age is not None
-            assert rec.metadata.gender is not None
-            assert rec.metadata.sbp is not None
+        for meta in pre.metadata:
+            assert meta.age is not None
+            assert meta.gender is not None
+            assert meta.sbp is not None
 
     def test_generated_ecg_passes_preprocessing(self, small_pair):
         pre, _ = small_pair
-        for rec in pre.records[:4]:
-            _, degenerate = preprocess(rec.leads.astype(np.float64), rec.fs)
+        for leads in pre.leads[:4]:
+            _, degenerate = preprocess(leads.astype(np.float64), pre.fs)
             assert not degenerate
 
     def test_negative_coupling_rejected(self):
@@ -98,10 +100,8 @@ class TestContainer:
         back = load(path)
         assert isinstance(back, Dataset)
         assert len(back) == len(pre)
-        for a, b in zip(pre.records, back.records):
-            assert a.subject_id == b.subject_id
-            assert a.metadata == b.metadata
-            np.testing.assert_array_equal(a.leads, b.leads)
+        assert (back.fs, back.subject_ids, back.metadata) == (pre.fs, pre.subject_ids, pre.metadata)
+        np.testing.assert_array_equal(back.leads, pre.leads)
 
     def test_downstream_roundtrip(self, small_pair, tmp_path):
         _, down = small_pair
@@ -109,18 +109,19 @@ class TestContainer:
         save(down, path)
         back = load(path)
         assert isinstance(back, DownstreamDataset)
-        for a, b in zip(down.samples, back.samples):
-            assert (a.subject_id, a.lead_id, a.label_binary) == (b.subject_id, b.lead_id, b.label_binary)
-            assert a.label_real == b.label_real
-            np.testing.assert_array_equal(a.signal, b.signal)
+        assert (back.fs, back.subject_ids) == (down.fs, down.subject_ids)
+        for name in ("signals", "lead_id", "label_real", "label_binary"):
+            want, got = getattr(down, name), getattr(back, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_risk_recompute_after_roundtrip(self, small_pair, tmp_path):
         pre, _ = small_pair
-        before = [risk_from_record(r.metadata, deterministic=True) for r in pre.records]
+        before = [risk_from_record(m, deterministic=True) for m in pre.metadata]
         path = tmp_path / "pre.rds"
         save(pre, path)
         back = load(path)
-        after = [risk_from_record(r.metadata, deterministic=True) for r in back.records]
+        after = [risk_from_record(m, deterministic=True) for m in back.metadata]
         for x, y in zip(before, after):
             assert x.r == y.r and x.missing_count == y.missing_count
 
@@ -174,8 +175,9 @@ class TestContainer:
 
     def test_empty_dataset_roundtrip(self, tmp_path):
         path = tmp_path / "empty.rds"
-        save(Dataset(records=[]), path)
-        assert len(load(path)) == 0
+        save(_dummy_dataset(0), path)
+        back = load(path)
+        assert len(back) == 0 and back.leads.shape == (0, 12, 8) and back.fs == 250.0
 
     def test_metadata_csv_sidecar(self, small_pair, tmp_path):
         import csv
@@ -188,9 +190,9 @@ class TestContainer:
         export_metadata_csv(pre, path)
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == len(pre)
-        for rec, row in zip(pre.records, rows):
-            assert row["subject_id"] == rec.subject_id
-            assert record_from_csv_row(row) == rec.metadata
+        for sid, meta, row in zip(pre.subject_ids, pre.metadata, rows):
+            assert row["subject_id"] == sid
+            assert record_from_csv_row(row) == meta
 
     def test_noise_bank_roundtrip(self, tmp_path):
         bank = NoiseBank.synthetic(seed=1, duration=1.0)
@@ -202,36 +204,96 @@ class TestContainer:
             np.testing.assert_array_equal(back.recordings[cat], bank.recordings[cat])
 
 
+class TestColumns:
+    def test_mismatched_pretrain_columns_rejected(self):
+        ds = _dummy_dataset(4)
+        with pytest.raises(ValueError, match="column 'metadata' needs 4 rows"):
+            Dataset(ds.leads, ds.fs, ds.subject_ids, ds.metadata[:3])
+        with pytest.raises(ValueError, match="column 'subject_ids' needs 4 rows"):
+            Dataset(ds.leads, ds.fs, ds.subject_ids + ["extra"], ds.metadata)
+
+    def test_mismatched_downstream_columns_rejected(self, small_pair):
+        _, down = small_pair
+        cols = dict(signals=down.signals, fs=down.fs, subject_ids=down.subject_ids,
+                    lead_id=down.lead_id, label_real=down.label_real,
+                    label_binary=down.label_binary)
+        with pytest.raises(ValueError, match="column 'label_real' needs 16 rows"):
+            DownstreamDataset(**{**cols, "label_real": down.label_real[:-1]})
+        with pytest.raises(ValueError, match="column 'lead_id' needs 16 rows"):
+            DownstreamDataset(**{**cols, "lead_id": np.ones((16, 2))})
+
+    @pytest.mark.parametrize("shape", [(4, 8), (4, 12, 8, 1), (4, 11, 8)])
+    def test_leads_layout_rejected(self, shape):
+        ds = _dummy_dataset(4)
+        with pytest.raises(ValueError, match=r"leads must be \(n, 12, t\)"):
+            Dataset(np.zeros(shape, dtype=np.float32), ds.fs, ds.subject_ids, ds.metadata)
+
+    def test_downstream_signals_must_be_2d(self):
+        with pytest.raises(ValueError, match=r"signals must be \(n, t\)"):
+            DownstreamDataset(np.zeros(8), 250.0, ["a"], [1], [0.1], [0])
+
+    @pytest.mark.parametrize("fs", [0.0, -250.0, float("nan"), float("inf")])
+    def test_bad_sample_rate_rejected(self, fs):
+        ds = _dummy_dataset(2)
+        with pytest.raises(ValueError, match="fs must be a positive sample rate"):
+            Dataset(ds.leads, fs, ds.subject_ids, ds.metadata)
+        with pytest.raises(ValueError, match="fs must be a positive sample rate"):
+            DownstreamDataset(np.zeros((1, 8)), fs, ["a"], [1], [0.1], [0])
+
+    def test_take_selects_rows_in_order(self, small_pair):
+        _, down = small_pair
+        part = down.take([3, 0])
+        assert part.fs == down.fs
+        assert part.subject_ids == [down.subject_ids[3], down.subject_ids[0]]
+        np.testing.assert_array_equal(part.signals, down.signals[[3, 0]])
+        np.testing.assert_array_equal(part.label_real, down.label_real[[3, 0]])
+        assert len(down.take([])) == 0
+
+    def test_split_keeps_columns_aligned(self, small_pair):
+        pre, down = small_pair
+        for ds in (pre, down):
+            row = {sid: i for i, sid in enumerate(ds.subject_ids)}
+            for part in split(ds, (0.5, 0.25, 0.25), mode="by-subject", seed=2):
+                idx = [row[sid] for sid in part.subject_ids]
+                assert save_bytes(part) == save_bytes(ds.take(idx))
+
+    def test_malformed_container_rejected(self):
+        ds = _dummy_dataset(3)
+        blob = container.pack("pretrain", {"fs": 250.0, "subject_ids": ds.subject_ids,
+                                           "metadata": []}, {"leads": ds.leads})
+        with pytest.raises(DataFormatError, match="column 'metadata' needs 3 rows"):
+            load_bytes(blob)
+
+
 class TestSplit:
     def test_sizes_80_10_10(self):
-        ds = Dataset(records=[_dummy_record(i) for i in range(100)])
+        ds = _dummy_dataset(100)
         tr, va, te = split(ds, (0.8, 0.1, 0.1), mode="sequential")
         assert (len(tr), len(va), len(te)) == (80, 10, 10)
 
     def test_sequential_preserves_order(self):
-        ds = Dataset(records=[_dummy_record(i) for i in range(30)])
+        ds = _dummy_dataset(30)
         tr, va, te = split(ds, (0.5, 0.25, 0.25), mode="sequential")
-        ids = [r.subject_id for r in tr.records + va.records + te.records]
+        ids = tr.subject_ids + va.subject_ids + te.subject_ids
         assert ids == [f"s{i}" for i in range(30)]
 
     def test_by_subject_disjoint(self):
         # two records per subject; partitions never split a subject
-        records = [_dummy_record(i // 2, suffix=i % 2) for i in range(40)]
-        ds = Dataset(records=records)
+        ds = _dummy_dataset(40, subjects=[f"s{i // 2}" for i in range(40)])
         tr, va, te = split(ds, (0.6, 0.2, 0.2), mode="by-subject", seed=9)
-        groups = [set(r.subject_id for r in part.records) for part in (tr, va, te)]
+        groups = [set(part.subject_ids) for part in (tr, va, te)]
         assert not (groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2])
         assert len(tr) + len(va) + len(te) == 40
 
     def test_split_reproducible(self):
-        ds = Dataset(records=[_dummy_record(i) for i in range(50)])
+        ds = _dummy_dataset(50)
         a = split(ds, (0.8, 0.1, 0.1), mode="by-subject", seed=4)
         b = split(ds, (0.8, 0.1, 0.1), mode="by-subject", seed=4)
         for pa, pb in zip(a, b):
-            assert [r.subject_id for r in pa.records] == [r.subject_id for r in pb.records]
+            assert pa.subject_ids == pb.subject_ids
 
     def test_fraction_misuse_rejected(self):
-        ds = Dataset(records=[_dummy_record(i) for i in range(10)])
+        ds = _dummy_dataset(10)
         with pytest.raises(ValueError):
             split(ds, (0.8, 0.1, 0.2))
         with pytest.raises(ValueError):
@@ -244,13 +306,13 @@ class TestSplit:
         assert len(tr) + len(va) + len(te) == 20
 
 
-def _dummy_record(i, suffix=None):
-    from riskclr.data import ECGRecord
+def _dummy_dataset(n, subjects=None):
+    """``n`` rows of zero leads at 250 Hz; row i belongs to ``subjects[i]`` (default ``s{i}``)."""
     from riskclr.risk_score import MetadataRecord
 
-    return ECGRecord(
-        subject_id=f"s{i}",
-        leads=np.zeros((12, 8), dtype=np.float32),
+    return Dataset(
+        leads=np.zeros((n, 12, 8), dtype=np.float32),
         fs=250.0,
-        metadata=MetadataRecord(age=50 + (i % 10), gender="male", sbp=120.0),
+        subject_ids=subjects if subjects is not None else [f"s{i}" for i in range(n)],
+        metadata=[MetadataRecord(age=50 + (i % 10), gender="male", sbp=120.0) for i in range(n)],
     )

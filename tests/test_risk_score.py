@@ -134,6 +134,12 @@ class TestImputation:
         with pytest.raises(ValueError):
             MetadataRecord(gender="other")
 
+    @pytest.mark.parametrize("field", ["age", "sbp", "total_cholesterol", "hdl_cholesterol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_covariate_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            MetadataRecord(**{field: value})
+
 
 class TestStandardize:
     def test_reference_individual_is_zero(self):

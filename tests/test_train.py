@@ -169,6 +169,32 @@ class TestPretrainLoop:
         for n in enc.params:
             np.testing.assert_array_equal(full.encoder.params[n].data, enc.params[n].data)
 
+    def test_interrupted_history_write_keeps_previous_metrics(self, tiny_world, tmp_path,
+                                                              monkeypatch):
+        import os
+
+        prep, _ = tiny_world
+        cfg = fast_cfg(epochs=3)
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), cfg, run_dir=tmp_path,
+                 session_epochs=1)
+        before = (tmp_path / "metrics.csv").read_bytes()
+        real_replace = os.replace
+
+        def crash_on_metrics(src, dst):
+            if os.fspath(dst).endswith("metrics.csv"):
+                raise OSError("simulated crash before the rename")
+            real_replace(src, dst)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", crash_on_metrics)
+            with pytest.raises(OSError, match="simulated crash"):
+                pretrain(prep, build(TINY, seed=5, dtype=np.float32), cfg, run_dir=tmp_path,
+                         resume_from=tmp_path / "last.ckpt", session_epochs=1)
+        assert (tmp_path / "metrics.csv").read_bytes() == before
+        assert before.decode().splitlines()[0] == "epoch,lr,train_loss,val_loss"
+        assert len(before.decode().splitlines()) == 2
+        assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+
     def test_patience_zero_stops_after_first_non_improvement(self, tiny_world):
         prep, _ = tiny_world
         enc = build(TINY, seed=5, dtype=np.float32)
@@ -242,10 +268,8 @@ class TestProbe:
     def test_finetune_needs_both_classes(self, tiny_world):
         from dataclasses import replace
 
-        from riskclr.data import DownstreamDataset
-
         prep, (tr, va, te) = tiny_world
-        one_class = DownstreamDataset([replace(s, label_binary=0) for s in tr.samples])
+        one_class = replace(tr, label_binary=np.zeros(len(tr), dtype=np.int64))
         enc = build(TINY, seed=5, dtype=np.float32)
         with pytest.raises(ValueError, match="both classes"):
             finetune(enc, one_class, va, DownstreamConfig(task="binary", epochs=1))
@@ -258,6 +282,33 @@ class TestProbe:
         enc2 = build(TINY, seed=5, dtype=np.float32)
         _, m2 = finetune(enc2, tr, va, cfg)
         assert m1 == m2
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("lr", -1.0), ("epochs", -3), ("val_fraction", 2.0), ("fixed_lead", 40),
+        ("lead_mode", "bogus"), ("dtype", "int8"), ("mask_mode", "bogus"),
+        ("batch_size", 1), ("tau", 0.0), ("alpha", 1.5), ("lr", math.nan),
+        ("weight_decay", -1e-5), ("patience", -1), ("mask_prob", 2.0),
+        ("loss", "w+d"), ("seed", 1.5),
+    ])
+    def test_pretrain_config_names_bad_field(self, field, value):
+        kw = {"weight_decay": 0.0} if field == "lr" else {}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            PretrainConfig(**{**kw, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("task", "bogus"), ("epochs", -1), ("lr", -1.0), ("restart_period", 0),
+        ("batch_size", 0), ("weight_decay", math.inf),
+    ])
+    def test_downstream_config_names_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DownstreamConfig(**{field: value})
+
+    def test_defaults_and_zero_decay_accepted(self):
+        PretrainConfig(weight_decay=0.0, val_fraction=0.0, lead_mode="fixed-lead",
+                       fixed_lead=12, dtype="float64", mask_mode="scattered")
+        DownstreamConfig(task="regression")
 
 
 class TestAblate:
@@ -280,3 +331,25 @@ class TestAblate:
         assert all("test_auroc" in r for r in rows)
         with pytest.raises(ValueError):
             ablate(prep, TINY, tr, va, te, cfg, probe_cfg, variants=())
+
+    def test_shared_work_runs_once(self, tiny_world, monkeypatch):
+        from riskclr import signal, train
+
+        prep, (tr, va, te) = tiny_world
+        calls = {"bank": 0, "downstream": 0}
+        real_bank, real_prep = signal.NoiseBank.synthetic, train.preprocess_downstream
+
+        def counted_bank(*args, **kwargs):
+            calls["bank"] += 1
+            return real_bank(*args, **kwargs)
+
+        def counted_prep(ds):
+            calls["downstream"] += 1
+            return real_prep(ds)
+
+        monkeypatch.setattr(signal.NoiseBank, "synthetic", counted_bank)
+        monkeypatch.setattr(train, "preprocess_downstream", counted_prep)
+        variants = (LossSpec("nce"), LossSpec("w"), LossSpec("d"))
+        ablate(prep, TINY, tr, va, te, fast_cfg(epochs=1),
+               DownstreamConfig(task="binary", epochs=1, seed=1), variants=variants)
+        assert calls == {"bank": 1, "downstream": 3}

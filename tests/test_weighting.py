@@ -200,6 +200,12 @@ class TestBatchRiskInfo:
             BatchRiskInfo(r=np.array([0.1, 0.2]), m=np.zeros(2, dtype=int),
                           positive_of=np.array([1, 0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5])
+    def test_rejects_out_of_range_risk(self, bad):
+        with pytest.raises(ValueError, match=r"risk scores must lie in \[0, 1\]"):
+            BatchRiskInfo(r=np.array([bad, bad]), m=np.zeros(2, dtype=int),
+                          positive_of=np.array([1, 0]))
+
     def test_rejects_fixed_points(self):
         with pytest.raises(ValueError):
             BatchRiskInfo(r=np.zeros(2), m=np.zeros(2, dtype=int),
