@@ -237,6 +237,7 @@ def finetune_cmd(config_path, ckpt_path, data_path, run_dir, task, seed):
 def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode):
     from riskclr.container import write_csv
     from riskclr.encoder import CheckpointError, load_checkpoint
+    from riskclr.metrics import UndefinedMetricError
     from riskclr.train import evaluate_head, finetune, linear_probe
 
     if not Path(ckpt_path).exists():
@@ -251,8 +252,21 @@ def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, f
     _echo_config(run, {"downstream": dataclasses.asdict(cfg), "checkpoint": str(ckpt_path),
                        "mode": "finetune" if finetune_mode else "probe"})
     fn = finetune if finetune_mode else linear_probe
-    head, val_metrics = fn(encoder, tr, va, cfg)
-    test_metrics = evaluate_head(encoder, head, te)
+
+    def split_error(name, ds, exc):
+        # a by-subject split of a small set can leave one class in a part
+        return CliError(f"{name} split of {data_path} (n={len(ds)}): {exc}", EXIT_CONFIG)
+
+    try:
+        head, val_metrics = fn(encoder, tr, va, cfg)
+    except UndefinedMetricError as exc:
+        raise split_error("val", va, exc)
+    except ValueError as exc:
+        raise split_error("train", tr, exc)
+    try:
+        test_metrics = evaluate_head(encoder, head, te)
+    except UndefinedMetricError as exc:
+        raise split_error("test", te, exc)
     rows = [{"split": "val", **val_metrics}, {"split": "test", **test_metrics}]
     write_csv(run / "metrics.csv", sorted({k for r in rows for k in r}), rows)
     click.echo(json.dumps({"val": val_metrics, "test": test_metrics}, default=float))

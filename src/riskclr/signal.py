@@ -2,8 +2,9 @@
 
 Preprocessing order is fixed: resample -> bandpass -> z-score. The bandpass
 is a causal Butterworth IIR designed from the analog prototype via the
-bilinear transform and run as cascaded second-order sections; no zero-phase
-pass. Resampling is polyphase windowed-sinc (Kaiser window).
+bilinear transform and run as cascaded second-order sections, a block of
+samples per matrix product (see `sosfilt`); no zero-phase pass. Resampling is
+polyphase windowed-sinc (Kaiser window) and computes only the kept outputs.
 
 Augmentation draws one of five choices with equal probability: four noise
 categories injected as x + phi * n, or no perturbation. Random masking is an
@@ -19,11 +20,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 TARGET_FS = 500.0
 BAND_LOW_HZ = 0.67
 BAND_HIGH_HZ = 40.0
 FILTER_ORDER = 5
+SOSFILT_BLOCK = 64  # samples per GEMM in sosfilt's block recursion
+RESAMPLE_CHUNK_ROWS = 64  # rows per GEMM in resample
 NOISE_INTENSITY = 0.02
 MASK_PROB = 0.2
 MASK_FRACTION = 0.10
@@ -130,37 +134,71 @@ def sos_is_stable(sos: np.ndarray) -> bool:
     return True
 
 
+def _block_matrix(sos: np.ndarray, block: int) -> np.ndarray:
+    """One-block transfer matrix of the biquad cascade.
+
+    The cascade is a linear system with state s (two delays per section):
+    s' = A s + B x, y = C s + D x. Over ``block`` samples, with the row vector
+    [x_0 .. x_{block-1}, s_0] on the left, the returned matrix gives
+    [y_0 .. y_{block-1}, s_block]: the lower-triangular Toeplitz of the
+    impulse response (x -> y), C A^n (s_0 -> y_n), A^(block-1-n) B
+    (x_n -> s_block) and A^block (s_0 -> s_block).
+    """
+    n_state = 2 * len(sos)
+    a = np.zeros((n_state, n_state))
+    b = np.zeros(n_state)
+    c = np.zeros(n_state)
+    d = 1.0
+    for i, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        # transposed direct form II; this section's input is the cascade so far
+        k = 2 * i
+        b_in = np.array([b1 - a1 * b0, b2 - a2 * b0])
+        a[k:k + 2, :k] = np.outer(b_in, c[:k])
+        a[k:k + 2, k:k + 2] = [[-a1, 1.0], [-a2, 0.0]]
+        b[k:k + 2] = b_in * d
+        c[:k] *= b0
+        c[k] = 1.0
+        d *= b0
+    obs = np.empty((block, n_state))  # C A^n
+    ctrl = np.empty((n_state, block))  # A^n B
+    power = np.eye(n_state)
+    for n in range(block):
+        obs[n] = c @ power
+        ctrl[:, n] = power @ b
+        power = a @ power
+    impulse = np.concatenate(([d], obs[:-1] @ b))
+    lag = np.arange(block)[None, :] - np.arange(block)[:, None]
+    m = np.empty((block + n_state, block + n_state))
+    m[:block, :block] = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+    m[block:, :block] = obs.T
+    m[:block, block:] = ctrl[:, ::-1].T
+    m[block:, block:] = power.T
+    return m
+
+
 def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Causal single-pass filtering through cascaded biquads.
 
-    Accepts (..., T); the time loop is vectorized over leading dimensions
-    (and runs on Python floats for a single signal, which is faster there).
+    Accepts (..., T). Block recursion: the cascade's state-space form gives
+    one matrix per call that maps SOSFILT_BLOCK input samples plus the state
+    entering the block to the block's outputs plus the state leaving it, so
+    each block is one GEMM over all rows and the time loop runs T / block
+    times. In a short last block the stale inputs past its end reach only
+    later outputs and the leaving state, which are dropped.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        y = x.tolist()
-        for row in sos:
-            b0, b1, b2, _, a1, a2 = (float(v) for v in row)
-            z1 = z2 = 0.0
-            for n, xn in enumerate(y):
-                yn = b0 * xn + z1
-                z1 = b1 * xn - a1 * yn + z2
-                z2 = b2 * xn - a2 * yn
-                y[n] = yn
-        return np.asarray(y)
-    lead_shape = x.shape[:-1]
     t = x.shape[-1]
-    y = x.reshape(-1, t).copy()
-    for b0, b1, b2, _, a1, a2 in sos:
-        z1 = np.zeros(y.shape[0])
-        z2 = np.zeros(y.shape[0])
-        for n in range(t):
-            xn = y[:, n].copy()
-            yn = b0 * xn + z1
-            z1 = b1 * xn - a1 * yn + z2
-            z2 = b2 * xn - a2 * yn
-            y[:, n] = yn
-    return y.reshape(*lead_shape, t)
+    flat = x.reshape(-1, t)
+    m = _block_matrix(np.asarray(sos, dtype=np.float64), SOSFILT_BLOCK)
+    y = np.empty_like(flat)
+    carry = np.zeros((flat.shape[0], m.shape[0]))  # [block of x | state]
+    for lo in range(0, t, SOSFILT_BLOCK):
+        n = min(SOSFILT_BLOCK, t - lo)
+        carry[:, :n] = flat[:, lo : lo + n]
+        out = carry @ m
+        y[:, lo : lo + n] = out[:, :n]
+        carry[:, SOSFILT_BLOCK:] = out[:, SOSFILT_BLOCK:]
+    return y.reshape(x.shape)
 
 
 def bandpass(
@@ -179,20 +217,6 @@ def bandpass(
 # resampling
 
 
-def _kaiser_window(n: int, beta: float) -> np.ndarray:
-    # I0-based Kaiser window; i0 via series expansion (converges fast).
-    def i0(v: float) -> float:
-        total, term, k = 1.0, 1.0, 1
-        while term > 1e-16 * total:
-            term *= (v / (2 * k)) ** 2
-            total += term
-            k += 1
-        return total
-
-    m = (n - 1) / 2.0
-    return np.array([i0(beta * math.sqrt(max(0.0, 1 - ((i - m) / m) ** 2))) / i0(beta) for i in range(n)])
-
-
 def _resample_filter(up: int, down: int, half_zeros: int = 10, beta: float = 8.6) -> np.ndarray:
     """Windowed-sinc lowpass at the tighter of the two Nyquist edges.
 
@@ -203,12 +227,20 @@ def _resample_filter(up: int, down: int, half_zeros: int = 10, beta: float = 8.6
     half = half_zeros * m
     n = np.arange(-half, half + 1)
     h = np.sinc(n / m) / m
-    h *= _kaiser_window(len(n), beta)
+    h *= np.kaiser(len(n), beta)
     return h * (up / h.sum())
 
 
 def resample(signal: np.ndarray, fs_in: float, fs_out: float = TARGET_FS) -> np.ndarray:
-    """Band-limited rate conversion; output length is round(n * fs_out/fs_in)."""
+    """Band-limited rate conversion; output length is round(n * fs_out/fs_in).
+
+    Polyphase: of the zero-stuffed, lowpassed and decimated signal only the
+    kept outputs are computed. With up/down the reduced rate ratio, the taps
+    repeat every `up` outputs and `down` inputs, so one (width, up) table
+    applied to input windows that start `down` samples apart gives each
+    block of `up` outputs; rows go through in chunks of RESAMPLE_CHUNK_ROWS.
+    Outputs past ceil(n*up/down) repeat the last one.
+    """
     if fs_in <= 0 or fs_out <= 0:
         raise ValueError("sample rates must be positive")
     x = np.asarray(signal, dtype=np.float64)
@@ -218,25 +250,28 @@ def resample(signal: np.ndarray, fs_in: float, fs_out: float = TARGET_FS) -> np.
     up, down = frac.numerator, frac.denominator
     t = x.shape[-1]
     out_len = int(round(t * fs_out / fs_in))
-    h = _resample_filter(up, down)
-    half = (len(h) - 1) // 2
-
-    def one(sig: np.ndarray) -> np.ndarray:
-        stuffed = np.zeros(t * up)
-        stuffed[::up] = sig
-        full = np.convolve(stuffed, h)
-        aligned = full[half : half + t * up]
-        return aligned[::down][:out_len]
-
-    if x.ndim == 1:
-        out = one(x)
-    else:
-        flat = x.reshape(-1, t)
-        out = np.stack([one(row) for row in flat]).reshape(*x.shape[:-1], -1)
-    if out.shape[-1] < out_len:  # guard: pad the causal tail if rounding ran short
-        pad = out_len - out.shape[-1]
-        out = np.concatenate([out, np.repeat(out[..., -1:], pad, axis=-1)], axis=-1)
-    return out
+    n_valid = min(-(-t * up // down), out_len)
+    flat = x.reshape(-1, t)
+    out = np.empty((flat.shape[0], out_len))
+    if n_valid:
+        h = _resample_filter(up, down)
+        half = (len(h) - 1) // 2
+        # Window row w of block b holds x[b*down - lead + w]; column r is
+        # output b*up + r, whose tap for that input is h[half + r*down + (lead - w)*up].
+        lead = half // up
+        width = lead + (half + (up - 1) * down) // up + 1
+        tap = half + np.arange(up)[None, :] * down + (lead - np.arange(width)[:, None]) * up
+        table = np.where((tap >= 0) & (tap < len(h)), h[np.clip(tap, 0, len(h) - 1)], 0.0)
+        span = (-(-n_valid // up) - 1) * down + width
+        buf = np.zeros((min(RESAMPLE_CHUNK_ROWS, len(flat)), max(span, lead + t)))
+        for lo in range(0, len(flat), RESAMPLE_CHUNK_ROWS):
+            rows = flat[lo : lo + RESAMPLE_CHUNK_ROWS]
+            buf[: len(rows), lead : lead + t] = rows
+            windows = sliding_window_view(buf[: len(rows), :span], width, axis=-1)[:, ::down]
+            blocks = (windows @ table).reshape(len(rows), -1)
+            out[lo : lo + len(rows), :n_valid] = blocks[:, :n_valid]
+        out[:, n_valid:] = out[:, n_valid - 1 : n_valid]
+    return out.reshape(*x.shape[:-1], out_len)
 
 
 def zscore(signal: np.ndarray) -> tuple[np.ndarray, bool]:

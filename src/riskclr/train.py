@@ -325,7 +325,9 @@ def pretrain(
     ``session_epochs`` caps how many epochs this call runs (simulating an
     interruption); the schedule and stopping logic always follow
     ``cfg.epochs``, so resuming from the written checkpoint continues the
-    exact trajectory of an uninterrupted run.
+    exact trajectory of an uninterrupted run. The checkpoint carries the
+    loss history, so a resumed run's ``metrics.csv`` lists every epoch, while
+    ``PretrainResult.history`` holds only this call's epochs.
     """
     if bank is None:
         bank = NoiseBank.synthetic(fs=prep.fs, seed=cfg.seed)
@@ -345,6 +347,7 @@ def pretrain(
     best_params = encoder.state_arrays()
     bad_epochs = 0
     history: list[dict] = []
+    earlier: list[dict] = []  # epochs of the sessions this one resumes
 
     if resume_from is not None:
         enc2, extra, meta = load_checkpoint(resume_from)
@@ -357,6 +360,7 @@ def pretrain(
         best_val = float(meta["best_val"])
         best_epoch = int(meta["best_epoch"])
         bad_epochs = int(meta["bad_epochs"])
+        earlier = meta.get("history", [])
         best_params = {k[len("best/") :]: v for k, v in extra.items() if k.startswith("best/")}
         if not best_params:
             best_params = encoder.state_arrays()
@@ -423,9 +427,10 @@ def pretrain(
             extra.update({f"best/{k}": v for k, v in best_params.items()})
             save_checkpoint(run_path / "last.ckpt", encoder, extra=extra,
                             meta={"next_epoch": epoch + 1, "best_val": best_val,
-                                  "best_epoch": best_epoch, "bad_epochs": bad_epochs})
+                                  "best_epoch": best_epoch, "bad_epochs": bad_epochs,
+                                  "history": earlier + history})
             container.write_csv(run_path / "metrics.csv",
-                                ("epoch", "lr", "train_loss", "val_loss"), history)
+                                ("epoch", "lr", "train_loss", "val_loss"), earlier + history)
 
         if bad_epochs > cfg.patience:
             break
@@ -436,7 +441,7 @@ def pretrain(
         ckpt_path = str(run_path / "best.ckpt")
         save_checkpoint(ckpt_path, encoder,
                         meta={"best_epoch": best_epoch, "best_val": best_val,
-                              "epochs_run": len(history)})
+                              "epochs_run": len(earlier) + len(history)})
     return PretrainResult(encoder=encoder, history=history, best_epoch=best_epoch,
                           best_val=best_val, checkpoint_path=ckpt_path)
 

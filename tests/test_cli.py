@@ -148,6 +148,30 @@ class TestPipelineCommands:
         ])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("command", ["probe", "finetune"])
+    @pytest.mark.parametrize("split_name", ["train", "val"])
+    def test_one_class_split_exit_2(self, runner, tmp_path, command, split_name):
+        import dataclasses
+
+        from riskclr.encoder import STANDARD_CONFIGS, build, save_checkpoint
+
+        _, down = generate_synthetic(SyntheticConfig(n_subjects=4, n_downstream=8,
+                                                     duration=4.0, seed=9))
+        if split_name == "train":  # one class everywhere; otherwise val holds one sample
+            down = dataclasses.replace(down, label_binary=np.zeros_like(down.label_binary))
+        save(down, tmp_path / "down8.rds")
+        save_checkpoint(tmp_path / "enc.ckpt", build(STANDARD_CONFIGS["tiny"], seed=0))
+        result = runner.invoke(main, [
+            command, "--checkpoint", str(tmp_path / "enc.ckpt"),
+            "--data", str(tmp_path / "down8.rds"), "--run-dir", str(tmp_path / "run"),
+            "--task", "binary",
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {split_name} split of" in result.output
+        assert "both classes" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_probe_missing_checkpoint_exit_3(self, runner, small_data, tmp_path):
         result = runner.invoke(main, [
             "probe", "--checkpoint", str(tmp_path / "none.ckpt"),

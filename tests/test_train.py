@@ -131,12 +131,15 @@ class TestPretrainLoop:
         enc_part = build(TINY, seed=5, dtype=np.float32)
         pretrain(prep, enc_part, fast_cfg(epochs=4), run_dir=part_dir, session_epochs=2)
         enc_resume = build(TINY, seed=5, dtype=np.float32)
-        res_resume = pretrain(prep, enc_resume, fast_cfg(epochs=4), run_dir=tmp_path / "res",
+        res_resume = pretrain(prep, enc_resume, fast_cfg(epochs=4), run_dir=part_dir,
                               resume_from=part_dir / "last.ckpt")
         assert [h["train_loss"] for h in res_resume.history] == \
                [h["train_loss"] for h in res_full.history[2:]]
         for n in enc_full.params:
             np.testing.assert_array_equal(enc_full.params[n].data, enc_resume.params[n].data)
+        # the resumed run's metrics.csv keeps the epochs before the interruption
+        assert (part_dir / "metrics.csv").read_bytes() == (full_dir / "metrics.csv").read_bytes()
+        assert load_checkpoint(part_dir / "best.ckpt")[2]["epochs_run"] == 4
 
     def test_torn_last_checkpoint_write_keeps_resume_point(self, tiny_world, tmp_path,
                                                            monkeypatch):
