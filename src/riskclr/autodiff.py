@@ -2,15 +2,23 @@
 
 Design notes:
   * Eager execution. Ops run immediately on numpy data; when a ``Tape`` is
-    active and an input requires gradients, the op appends an adjoint
-    closure to the tape. ``Tape.backward`` replays closures in reverse
-    execution order, which is a valid reverse topological order because
-    execution order itself is topological.
+    active and an input requires gradients, the op records its VJP
+    (vector-Jacobian product) on the tape. ``Tape.backward`` replays the
+    VJPs in reverse execution order, which is a valid reverse topological
+    order because execution order itself is topological.
   * Layout convention for sequence data is channels-last ``(batch, length,
     channels)`` so 1x1 convolutions and dense layers map onto single BLAS
     calls.
-  * float64 throughout. numpy's pairwise summation makes reductions
-    reproducible for a fixed thread count.
+  * Storage is float64, or float32 when the inputs are float32; reductions
+    accumulate float32 in float64. numpy's pairwise summation makes
+    reductions reproducible for a fixed thread count.
+
+Adding an op: compute the output array ``data`` from the inputs' ``.data``,
+then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
+gradient of the output and returns ``(input, grad)`` pairs, each ``grad``
+shaped like its input; it may skip inputs that do not require gradients.
+A VJP that needs the output reads ``data`` from its closure, and neither
+the op nor its VJP writes to another op's arrays in place.
 """
 
 from __future__ import annotations
@@ -57,10 +65,6 @@ class Tensor:
         self.name = name
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -72,23 +76,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
 
-class _Node:
-    __slots__ = ("out", "vjp")
-
-    def __init__(self, out: Tensor, vjp: Callable[[Array], list[tuple[Tensor, Array]]]):
-        self.out = out
-        self.vjp = vjp
+VJP = Callable[[Array], list[tuple[Tensor, Array]]]
 
 
-_tls = threading.local()
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_open_tapes = _TapeStack()
 
 
 class Tape:
@@ -100,18 +96,15 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple[Tensor, VJP]] = []  # (output, its VJP)
         self._spent = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _open_tapes.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
-
-    def _record(self, out: Tensor, vjp) -> None:
-        self._nodes.append(_Node(out, vjp))
+        _open_tapes.tapes.pop()
 
     def reset(self) -> None:
         self._nodes.clear()
@@ -133,12 +126,12 @@ class Tape:
         # later ones allocate once and then accumulate in place.
         grads: dict[int, list] = {id(output): [np.ones_like(output.data), True]}
         tensors: dict[int, Tensor] = {id(output): output}
-        for node in reversed(self._nodes):
-            slot = grads.pop(id(node.out), None)
-            tensors.pop(id(node.out), None)
+        for out, vjp in reversed(self._nodes):
+            slot = grads.pop(id(out), None)
+            tensors.pop(id(out), None)
             if slot is None:
                 continue  # this intermediate does not influence the output
-            for tensor, contrib in node.vjp(slot[0]):
+            for tensor, contrib in vjp(slot[0]):
                 key = id(tensor)
                 seen = grads.get(key)
                 if seen is None:
@@ -155,34 +148,20 @@ class Tape:
                 leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
-def _active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _coerce_operand(other, ref: Tensor):
-    """Keep python numbers raw (numpy weak promotion preserves dtype);
-    cast array constants to the reference dtype; pass Tensors through."""
-    if isinstance(other, Tensor):
-        return other
-    if isinstance(other, (int, float)):
-        return float(other)
-    return Tensor(np.asarray(other, dtype=ref.dtype))
-
-
-def _make_out(data: Array, inputs: Sequence[Tensor], vjp_builder) -> Tensor:
-    """Create the output tensor and record the adjoint when tracing."""
+def _make_out(data: Array, inputs: Sequence[Tensor], vjp: VJP) -> Tensor:
+    """Wrap ``data`` as the op's output and, while a tape is open and an
+    input requires gradients, record ``vjp`` on that tape."""
     if _DEBUG_FINITE and not np.all(np.isfinite(data)):
         raise AutodiffError("non-finite values produced by op (debug finite check)")
-    tape = _active_tape()
-    tracked = tape is not None and any(t.requires_grad for t in inputs)
+    tapes = _open_tapes.tapes
+    tracked = bool(tapes) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=tracked)
     if tracked:
-        tape._record(out, vjp_builder(out))
+        tapes[-1]._nodes.append((out, vjp))
     return out
 
 
@@ -203,159 +182,91 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # elementwise ops
 
 
-def add(a, b) -> Tensor:
+def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
+    """Broadcasting elementwise op ``forward(a, b)``.
+
+    A Python number ``b`` stays a raw float, so numpy's weak promotion keeps
+    float32 storage, and only ``a`` is recorded as an input; an array ``b``
+    is cast to ``a``'s dtype. ``grad_a(g, b)`` and ``grad_b(g, a)`` map the
+    output gradient to each operand's before unbroadcasting.
+    """
     a = _as_tensor(a)
-    b = _coerce_operand(b, a)
-    if isinstance(b, float):
-        data = a.data + b
+    if isinstance(b, (int, float)):
+        bv = float(b)
+        operands = ((a, grad_a, bv),)
+    else:
+        b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
+        bv = b.data
+        operands = ((a, grad_a, bv), (b, grad_b, a.data))
 
-        def build(out):
-            return lambda g: [(a, g)]
+    def vjp(g):
+        return [(t, _unbroadcast(grad(g, other), t.data.shape))
+                for t, grad, other in operands if t.requires_grad]
 
-        return _make_out(data, (a,), build)
-    data = a.data + b.data
+    return _make_out(forward(a.data, bv), [t for t, _, _ in operands], vjp)
 
-    def build(out):
-        def vjp(g):
-            pairs = []
-            if a.requires_grad:
-                pairs.append((a, _unbroadcast(g, a.data.shape)))
-            if b.requires_grad:
-                pairs.append((b, _unbroadcast(g, b.data.shape)))
-            return pairs
 
-        return vjp
-
-    return _make_out(data, (a, b), build)
+def add(a, b) -> Tensor:
+    return _binary(a, b, np.add, lambda g, _: g, lambda g, _: g)
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _coerce_operand(b, a)
-    if isinstance(b, float):
-        data = a.data - b
-
-        def build(out):
-            return lambda g: [(a, g)]
-
-        return _make_out(data, (a,), build)
-    data = a.data - b.data
-
-    def build(out):
-        def vjp(g):
-            pairs = []
-            if a.requires_grad:
-                pairs.append((a, _unbroadcast(g, a.data.shape)))
-            if b.requires_grad:
-                pairs.append((b, _unbroadcast(-g, b.data.shape)))
-            return pairs
-
-        return vjp
-
-    return _make_out(data, (a, b), build)
+    return _binary(a, b, np.subtract, lambda g, _: g, lambda g, _: -g)
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (and broadcast) multiply; covers scalar and mask scaling."""
-    a = _as_tensor(a)
-    b = _coerce_operand(b, a)
-    if isinstance(b, float):
-        data = a.data * b
-
-        def build(out):
-            return lambda g: [(a, g * b)]
-
-        return _make_out(data, (a,), build)
-    data = a.data * b.data
-
-    def build(out):
-        def vjp(g):
-            pairs = []
-            if a.requires_grad:
-                pairs.append((a, _unbroadcast(g * b.data, a.data.shape)))
-            if b.requires_grad:
-                pairs.append((b, _unbroadcast(g * a.data, b.data.shape)))
-            return pairs
-
-        return vjp
-
-    return _make_out(data, (a, b), build)
+    return _binary(a, b, np.multiply, np.multiply, np.multiply)
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    data = a.data * a.data
-
-    def build(out):
-        return lambda g: [(a, g * (2.0 * a.data))]
-
-    return _make_out(data, (a,), build)
+    return _make_out(a.data * a.data, (a,), lambda g: [(a, g * (2.0 * a.data))])
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     data = np.exp(a.data)
-
-    def build(out):
-        return lambda g: [(a, g * out.data)]
-
-    return _make_out(data, (a,), build)
+    return _make_out(data, (a,), lambda g: [(a, g * data)])
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.log(a.data)
-
-    def build(out):
-        return lambda g: [(a, g / a.data)]
-
-    return _make_out(data, (a,), build)
+    return _make_out(np.log(a.data), (a,), lambda g: [(a, g / a.data)])
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     data = _sigmoid_stable(a.data)
 
-    def build(out):
-        def vjp(g):
-            da = 1.0 - out.data
-            da *= out.data
-            da *= g
-            return [(a, da)]
+    def vjp(g):
+        da = 1.0 - data
+        da *= data
+        da *= g
+        return [(a, da)]
 
-        return vjp
-
-    return _make_out(data, (a,), build)
+    return _make_out(data, (a,), vjp)
 
 
 def swish(a) -> Tensor:
     """x * sigmoid(x), the activation used throughout the encoder."""
     a = _as_tensor(a)
     s = _sigmoid_stable(a.data)
-    data = a.data * s
 
-    def build(out):
-        def vjp(g):
-            da = 1.0 - s
-            da *= s
-            da *= a.data
-            da += s
-            da *= g
-            return [(a, da)]
+    def vjp(g):
+        da = 1.0 - s
+        da *= s
+        da *= a.data
+        da += s
+        da *= g
+        return [(a, da)]
 
-        return vjp
-
-    return _make_out(data, (a,), build)
+    return _make_out(a.data * s, (a,), vjp)
 
 
 def abs_(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.abs(a.data)
-
-    def build(out):
-        return lambda g: [(a, g * np.sign(a.data))]
-
-    return _make_out(data, (a,), build)
+    return _make_out(np.abs(a.data), (a,), lambda g: [(a, g * np.sign(a.data))])
 
 
 def softplus(a) -> Tensor:
@@ -363,11 +274,7 @@ def softplus(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def build(out):
-        return lambda g: [(a, g * _sigmoid_stable(x))]
-
-    return _make_out(data, (a,), build)
+    return _make_out(data, (a,), lambda g: [(a, g * _sigmoid_stable(x))])
 
 
 def _sigmoid_stable(x: Array) -> Array:
@@ -388,115 +295,78 @@ def _sigmoid_stable(x: Array) -> Array:
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
-    data = a.data.reshape(shape)
-
-    def build(out):
-        return lambda g: [(a, g.reshape(old))]
-
-    return _make_out(data, (a,), build)
+    return _make_out(a.data.reshape(shape), (a,), lambda g: [(a, g.reshape(old))])
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise AutodiffError("transpose expects a 2-D tensor")
-    data = a.data.T.copy()
-
-    def build(out):
-        return lambda g: [(a, g.T)]
-
-    return _make_out(data, (a,), build)
+    return _make_out(a.data.T.copy(), (a,), lambda g: [(a, g.T)])
 
 
-def _reduce(a: Array, axis, how: str) -> Array:
-    # reductions accumulate in 64-bit even in 32-bit storage mode
-    fn = np.sum if how == "sum" else np.mean
-    if a.dtype == np.float32:
-        return fn(a, axis=axis, dtype=np.float64).astype(np.float32)
-    return fn(a, axis=axis)
+def _reduce(a, axis: int | None, fn) -> Tensor:
+    """``np.sum`` or ``np.mean`` over ``axis`` (all axes when None);
+    float32 storage accumulates in float64."""
+    a = _as_tensor(a)
+    x = a.data
+    if x.dtype == np.float32:
+        data = fn(x, axis=axis, dtype=np.float64).astype(np.float32)
+    else:
+        data = fn(x, axis=axis)
+    count = 1 if fn is np.sum else x.size if axis is None else x.shape[axis]
+
+    def vjp(g):
+        g = g / count
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return [(a, np.broadcast_to(g, x.shape).copy())]
+
+    return _make_out(data, (a,), vjp)
 
 
 def sum_(a, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
-    data = _reduce(a.data, axis, "sum")
-
-    def build(out):
-        def vjp(g):
-            if axis is None:
-                return [(a, np.broadcast_to(g, a.data.shape).copy())]
-            ge = np.expand_dims(g, axis)
-            return [(a, np.broadcast_to(ge, a.data.shape).copy())]
-
-        return vjp
-
-    return _make_out(data, (a,), build)
+    return _reduce(a, axis, np.sum)
 
 
 def mean(a, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
-    data = _reduce(a.data, axis, "mean")
-    n = a.data.size if axis is None else a.data.shape[axis]
-
-    def build(out):
-        def vjp(g):
-            if axis is None:
-                return [(a, np.broadcast_to(g / n, a.data.shape).copy())]
-            ge = np.expand_dims(g / n, axis)
-            return [(a, np.broadcast_to(ge, a.data.shape).copy())]
-
-        return vjp
-
-    return _make_out(data, (a,), build)
+    return _reduce(a, axis, np.mean)
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise AutodiffError("matmul expects 2-D tensors")
-    data = a.data @ b.data
-
-    def build(out):
-        def vjp(g):
-            pairs = []
-            if a.requires_grad:
-                pairs.append((a, g @ b.data.T))
-            if b.requires_grad:
-                pairs.append((b, a.data.T @ g))
-            return pairs
-
-        return vjp
-
-    return _make_out(data, (a, b), build)
+    return _affine(a, b, None)
 
 
 def dense(x, w, b=None) -> Tensor:
     """Affine layer ``x @ w + b`` for 2-D ``x``."""
+    return _affine(x, w, b)
+
+
+def _affine(x, w, b) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 2:
-        raise AutodiffError("dense expects 2-D input")
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise AutodiffError("dense/matmul expect 2-D tensors")
     data = x.data @ w.data
+    inputs = [x, w]
     if b is not None:
         b = _as_tensor(b)
         data = data + b.data
+        inputs.append(b)
 
-    def build(out):
-        def vjp(g):
-            pairs = []
-            if x.requires_grad:
-                pairs.append((x, g @ w.data.T))
-            if w.requires_grad:
-                pairs.append((w, x.data.T @ g))
-            if b is not None and b.requires_grad:
-                pairs.append((b, g.sum(axis=0)))
-            return pairs
+    def vjp(g):
+        pairs = []
+        if x.requires_grad:
+            pairs.append((x, g @ w.data.T))
+        if w.requires_grad:
+            pairs.append((w, x.data.T @ g))
+        if b is not None and b.requires_grad:
+            pairs.append((b, g.sum(axis=0)))
+        return pairs
 
-        return vjp
-
-    inputs = (x, w) if b is None else (x, w, b)
-    return _make_out(data, inputs, build)
+    return _make_out(data, inputs, vjp)
 
 
-def row_l2_normalize(a, eps_reject: float = 0.0) -> Tensor:
+def row_l2_normalize(a) -> Tensor:
     """Normalize each row of a 2-D tensor to unit L2 norm.
 
     Zero rows signal a degenerate embedding and raise.
@@ -505,18 +375,15 @@ def row_l2_normalize(a, eps_reject: float = 0.0) -> Tensor:
     if a.data.ndim != 2:
         raise AutodiffError("row_l2_normalize expects a 2-D tensor")
     norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
-    if np.any(norms <= eps_reject):
+    if np.any(norms <= 0.0):
         raise AutodiffError("zero row passed to row_l2_normalize (degenerate embedding)")
     data = a.data / norms
 
-    def build(out):
-        def vjp(g):
-            dot = (g * out.data).sum(axis=1, keepdims=True)
-            return [(a, (g - out.data * dot) / norms)]
+    def vjp(g):
+        dot = (g * data).sum(axis=1, keepdims=True)
+        return [(a, (g - data * dot) / norms)]
 
-        return vjp
-
-    return _make_out(data, (a,), build)
+    return _make_out(data, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +405,20 @@ def _im2col(xp_row: Array, kernel: int, stride: int, out_len: int) -> Array:
     return np.ascontiguousarray(win[:out_len].transpose(0, 2, 1)).reshape(out_len, -1)
 
 
-def _conv1d_input_grad(g: Array, w2: Array, xp_shape, kernel: int, c_in: int,
-                       c_out: int, stride: int, out_len: int, pad_l: int,
-                       length: int) -> Array:
-    """d(loss)/d(x) for conv1d.
+def _conv1d_input_grad(g: Array, w2: Array, xp_shape, kernel: int, stride: int,
+                       pad_l: int, length: int) -> Array:
+    """d(loss)/d(x) for conv1d from the output gradient ``g`` (B, out_len,
+    C_out) and the dense (K*C_in, C_out) weight ``w2``.
 
-    stride 1: the adjoint is itself a correlation ("full" conv of the output
-    gradient with the flipped kernel), run as one im2col GEMM per sample.
-    stride > 1 falls back to strided scatter-adds.
+    kernel 1 and stride 1: one GEMM over all samples. Other stride 1: the
+    adjoint is itself a correlation ("full" conv of the output gradient with
+    the flipped kernel), run as one im2col GEMM per sample. stride > 1 falls
+    back to strided scatter-adds.
     """
-    batch = g.shape[0]
+    batch, out_len, c_out = g.shape
+    c_in = w2.shape[0] // kernel
+    if kernel == 1 and stride == 1:
+        return (g.reshape(-1, c_out) @ w2.T).reshape(batch, length, c_in)
     if stride == 1:
         # w2 rows are ordered (k, c_in); flip k and swap to (k, c_out) rows
         wf = np.ascontiguousarray(
@@ -596,50 +467,37 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (pad_l, pad_r), (0, 0))) if pad_l or pad_r else x.data
     wd = _expand_grouped(w.data, c_in, c_out, groups)
     w2 = np.ascontiguousarray(wd.reshape(kernel * c_in, c_out))
+    pointwise = kernel == 1 and stride == 1
 
-    out = np.empty((batch, out_len, c_out), dtype=x.data.dtype)
-    if kernel == 1 and stride == 1:
-        np.matmul(xp.reshape(-1, c_in), w2, out=out.reshape(-1, c_out))
+    data = np.empty((batch, out_len, c_out), dtype=x.data.dtype)
+    if pointwise:
+        np.matmul(xp.reshape(-1, c_in), w2, out=data.reshape(-1, c_out))
     else:
         for i in range(batch):
-            np.matmul(_im2col(xp[i], kernel, stride, out_len), w2, out=out[i])
+            np.matmul(_im2col(xp[i], kernel, stride, out_len), w2, out=data[i])
+    inputs = [x, w]
     if b is not None:
         b = _as_tensor(b)
-        out += b.data
+        data += b.data
+        inputs.append(b)
 
-    def build(out_t):
-        def vjp(g):
-            pairs = []
-            need_w = w.requires_grad
-            need_x = x.requires_grad
-            if need_w or need_x:
-                if kernel == 1 and stride == 1:
-                    dw2 = xp.reshape(-1, c_in).T @ g.reshape(-1, c_out) if need_w else None
-                    dx = (g.reshape(-1, c_out) @ w2.T).reshape(batch, length, c_in) if need_x else None
-                else:
-                    dw2 = np.zeros_like(w2) if need_w else None
-                    dx = None
-                    if need_w:
-                        for i in range(batch):
-                            col = _im2col(xp[i], kernel, stride, out_len)
-                            dw2 += col.T @ g[i]
-                    if need_x:
-                        dx = _conv1d_input_grad(g, w2, xp.shape, kernel, c_in, c_out,
-                                                stride, out_len, pad_l, length)
-                if need_w:
-                    dwd = dw2.reshape(kernel, c_in, c_out)
-                    pairs.append((w, _collapse_grouped(dwd, c_in, c_out, groups)))
-                if need_x:
-                    pairs.append((x, dx))
-            if b is not None and b.requires_grad:
-                db = g.sum(axis=(0, 1), dtype=np.float64).astype(g.dtype)
-                pairs.append((b, db))
-            return pairs
+    def vjp(g):
+        pairs = []
+        if w.requires_grad:
+            if pointwise:
+                dw2 = xp.reshape(-1, c_in).T @ g.reshape(-1, c_out)
+            else:
+                dw2 = np.zeros_like(w2)
+                for i in range(batch):
+                    dw2 += _im2col(xp[i], kernel, stride, out_len).T @ g[i]
+            pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
+        if x.requires_grad:
+            pairs.append((x, _conv1d_input_grad(g, w2, xp.shape, kernel, stride, pad_l, length)))
+        if b is not None and b.requires_grad:
+            pairs.append((b, g.sum(axis=(0, 1), dtype=np.float64).astype(g.dtype)))
+        return pairs
 
-        return vjp
-
-    inputs = (x, w) if b is None else (x, w, b)
-    return _make_out(out, inputs, build)
+    return _make_out(data, inputs, vjp)
 
 
 def _expand_grouped(w: Array, c_in: int, c_out: int, groups: int) -> Array:

@@ -5,8 +5,9 @@ eval, inspect. Every run writes into a run directory: the effective config is
 echoed as JSON, metrics land in CSV files, and reruns with the same config
 and seed reproduce outputs byte-for-byte (modulo file timestamps).
 
-Exit codes: 0 success; 2 config error (parse failure or unknown keys);
-3 missing input file; 4 non-finite loss abort; 1 anything else.
+Exit codes: 0 success; 2 config or input error (bad JSON, keys or values, a
+resume under another config, a bad predictions CSV); 3 missing input file;
+4 non-finite loss abort; 1 anything else.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,16 +33,26 @@ class CliError(click.ClickException):
         self.exit_code = exit_code
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, *sections: str) -> dict:
+    """The JSON object in ``path`` ({} without a path); each of ``sections``
+    that it holds must be an object too."""
     if path is None:
         return {}
     p = Path(path)
     if not p.exists():
         raise CliError(f"config file not found: {path}", EXIT_MISSING_INPUT)
     try:
-        return json.loads(p.read_text())
+        raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise CliError(f"config parse error: {exc}", EXIT_CONFIG)
+        raise CliError(f"config parse error in {path}: {exc}", EXIT_CONFIG)
+    if not isinstance(raw, dict):
+        raise CliError(f"config file {path} must hold a JSON object, got {type(raw).__name__}",
+                       EXIT_CONFIG)
+    for key in sections:
+        if not isinstance(raw.get(key, {}), dict):
+            raise CliError(f"config file {path}: {key!r} must be a JSON object, "
+                           f"got {type(raw[key]).__name__}", EXIT_CONFIG)
+    return raw
 
 
 def _dataclass_from(section: dict, cls, overrides: dict):
@@ -52,11 +64,9 @@ def _dataclass_from(section: dict, cls, overrides: dict):
     unknown = set(merged) - known
     if unknown:
         raise CliError(f"unknown {cls.__name__} keys: {sorted(unknown)}", EXIT_CONFIG)
-    if "loss" in merged and isinstance(merged["loss"], dict):
-        merged["loss"] = LossSpec(**merged["loss"])
-    if "stages" in merged:
-        merged["stages"] = tuple(tuple(s) for s in merged["stages"])
     try:
+        if isinstance(merged.get("loss"), dict):
+            merged["loss"] = LossSpec(**merged["loss"])
         return cls(**merged)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad {cls.__name__}: {exc}", EXIT_CONFIG)
@@ -132,7 +142,7 @@ def gen_data_cmd(config_path, out_dir, n_subjects, n_downstream, seed):
     """Generate the synthetic pretraining + downstream datasets."""
     from riskclr.data import SyntheticConfig, export_metadata_csv, generate_synthetic, save
 
-    section = _load_config_file(config_path).get("synthetic", {})
+    section = _load_config_file(config_path, "synthetic").get("synthetic", {})
     cfg = _dataclass_from(section, SyntheticConfig,
                           {"n_subjects": n_subjects, "n_downstream": n_downstream, "seed": seed})
     run_dir = Path(out_dir)
@@ -177,9 +187,9 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
     """Contrastive pretraining; writes best/last checkpoints and metrics.csv."""
     from riskclr.data import Dataset
     from riskclr.encoder import build
-    from riskclr.train import NanLossError, PreparedPretrain, PretrainConfig, pretrain
+    from riskclr.train import NanLossError, PreparedPretrain, PretrainConfig, ResumeError, pretrain
 
-    section = _load_config_file(config_path).get("pretrain", {})
+    section = _load_config_file(config_path, "pretrain").get("pretrain", {})
     cfg = _dataclass_from(section, PretrainConfig,
                           {"epochs": epochs, "batch_size": batch_size, "lr": lr, "seed": seed})
     enc_cfg = _encoder_config(encoder_name)
@@ -194,60 +204,53 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
         result = pretrain(prep, encoder, cfg, run_dir=run, resume_from=resume_path)
     except NanLossError as exc:
         raise CliError(str(exc), EXIT_NAN)
+    except ResumeError as exc:
+        raise CliError(f"cannot resume from {resume_path}: {exc}", EXIT_CONFIG)
     click.echo(f"best epoch {result.best_epoch} val_loss {result.best_val:.6f} "
                f"checkpoint {result.checkpoint_path}")
 
 
-def _downstream_setup(config_path, data_path, overrides):
-    from riskclr.data import DownstreamDataset, split
-    from riskclr.train import DownstreamConfig
+def _downstream_command(name: str, finetune_mode: bool, doc: str):
+    @main.command(name, help=doc)
+    @click.option("--config", "config_path", default=None)
+    @click.option("--checkpoint", "ckpt_path", required=True)
+    @click.option("--data", "data_path", required=True, help="downstream dataset container")
+    @click.option("--run-dir", required=True)
+    @click.option("--task", default=None, help="binary | regression")
+    @click.option("--seed", type=int, default=None)
+    def command(config_path, ckpt_path, data_path, run_dir, task, seed):
+        _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode)
 
-    raw = _load_config_file(config_path)
-    cfg = _dataclass_from(raw.get("downstream", {}), DownstreamConfig, overrides)
-    ds = _load_dataset(data_path, DownstreamDataset)
-    fractions = tuple(raw.get("downstream_split", (0.6, 0.2, 0.2)))
-    tr, va, te = split(ds, fractions, mode="by-subject", seed=cfg.seed)
-    return cfg, tr, va, te
-
-
-@main.command("probe")
-@click.option("--config", "config_path", default=None)
-@click.option("--checkpoint", "ckpt_path", required=True)
-@click.option("--data", "data_path", required=True, help="downstream dataset container")
-@click.option("--run-dir", required=True)
-@click.option("--task", default=None, help="binary | regression")
-@click.option("--seed", type=int, default=None)
-def probe_cmd(config_path, ckpt_path, data_path, run_dir, task, seed):
-    """Linear probing on frozen embeddings."""
-    _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode=False)
+    return command
 
 
-@main.command("finetune")
-@click.option("--config", "config_path", default=None)
-@click.option("--checkpoint", "ckpt_path", required=True)
-@click.option("--data", "data_path", required=True)
-@click.option("--run-dir", required=True)
-@click.option("--task", default=None)
-@click.option("--seed", type=int, default=None)
-def finetune_cmd(config_path, ckpt_path, data_path, run_dir, task, seed):
-    """Joint encoder + head training on the downstream task."""
-    _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode=True)
+probe_cmd = _downstream_command("probe", False, "Linear probing on frozen embeddings.")
+finetune_cmd = _downstream_command("finetune", True,
+                                   "Joint encoder + head training on the downstream task.")
 
 
 def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode):
     from riskclr.container import write_csv
+    from riskclr.data import DownstreamDataset, split
     from riskclr.encoder import CheckpointError, load_checkpoint
     from riskclr.metrics import UndefinedMetricError
-    from riskclr.train import evaluate_head, finetune, linear_probe
+    from riskclr.train import DownstreamConfig, evaluate_head, finetune, linear_probe
 
+    raw = _load_config_file(config_path, "downstream")
+    cfg = _dataclass_from(raw.get("downstream", {}), DownstreamConfig, {"task": task, "seed": seed})
     if not Path(ckpt_path).exists():
         raise CliError(f"checkpoint not found: {ckpt_path}", EXIT_MISSING_INPUT)
     try:
         encoder, _, _ = load_checkpoint(ckpt_path)
     except CheckpointError as exc:
         raise CliError(str(exc), EXIT_MISSING_INPUT)
-    cfg, tr, va, te = _downstream_setup(config_path, data_path,
-                                        {"task": task, "seed": seed})
+    ds = _load_dataset(data_path, DownstreamDataset)
+    fractions = raw.get("downstream_split", (0.6, 0.2, 0.2))
+    try:
+        tr, va, te = split(ds, fractions, mode="by-subject", seed=cfg.seed)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"config file {config_path}: bad 'downstream_split' {fractions!r}: {exc}",
+                       EXIT_CONFIG)
     run = Path(run_dir)
     _echo_config(run, {"downstream": dataclasses.asdict(cfg), "checkpoint": str(ckpt_path),
                        "mode": "finetune" if finetune_mode else "probe"})
@@ -288,7 +291,7 @@ def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, 
     from riskclr.train import (ABLATION_VARIANTS, DownstreamConfig, PreparedPretrain,
                                PretrainConfig, ablate, lambda_mix_variants)
 
-    raw = _load_config_file(config_path)
+    raw = _load_config_file(config_path, "pretrain", "downstream")
     cfg = _dataclass_from(raw.get("pretrain", {}), PretrainConfig, {"epochs": epochs})
     probe_cfg = _dataclass_from(raw.get("downstream", {}), DownstreamConfig, {})
     enc_cfg = _encoder_config(encoder_name)
@@ -341,6 +344,23 @@ def gradcheck_cmd(tolerance, dump_w, seed, with_encoder):
         raise CliError(f"gradient check failed tolerance {tolerance}", 1)
 
 
+_EVAL_COLUMNS = {"binary": ("score", "label"), "regression": ("pred", "truth")}
+
+
+def _csv_number(path: str, line: int, row: dict, column: str) -> float:
+    """``row[column]`` as a finite number; a label must read 0 or 1, so ``1.0``
+    passes, as in score2's binary columns."""
+    try:
+        value = float(row[column])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value) or (column == "label" and value not in (0.0, 1.0)):
+        wanted = "0 or 1" if column == "label" else "a finite number"
+        raise CliError(f"{path} line {line}, column {column!r}: {row[column]!r} is not {wanted}",
+                       EXIT_CONFIG)
+    return value
+
+
 @main.command("eval")
 @click.option("--pred", "pred_path", required=True,
               help="CSV with columns score,label (binary) or pred,truth (regression)")
@@ -352,20 +372,29 @@ def eval_cmd(pred_path, task):
     p = Path(pred_path)
     if not p.exists():
         raise CliError(f"predictions not found: {pred_path}", EXIT_MISSING_INPUT)
-    with open(p, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if task == "binary":
-        scores = np.array([float(r["score"]) for r in rows])
-        labels = np.array([int(r["label"]) for r in rows])
-        click.echo(json.dumps({"task": task, "metric": "auroc",
-                               "value": auroc_binary(scores, labels), "n": len(rows)}))
-    elif task == "regression":
-        pred = np.array([float(r["pred"]) for r in rows])
-        truth = np.array([float(r["truth"]) for r in rows])
-        click.echo(json.dumps({"task": task, "metric": "mae",
-                               "value": mae(pred, truth), "n": len(rows)}))
-    else:
+    if task not in _EVAL_COLUMNS:
         raise CliError(f"unknown task {task!r}", EXIT_CONFIG)
+    columns = _EVAL_COLUMNS[task]
+    with open(p, newline="") as fh:
+        reader = csv.DictReader(fh)
+        absent = [c for c in columns if c not in (reader.fieldnames or ())]
+        if absent:
+            raise CliError(f"{pred_path} has no {absent[0]!r} column", EXIT_CONFIG)
+        rows = [[_csv_number(pred_path, reader.line_num, row, c) for c in columns]
+                for row in reader]
+    if not rows:
+        raise CliError(f"{pred_path} has no prediction rows", EXIT_CONFIG)
+    first, second = np.array(rows).T
+    if task == "regression":
+        click.echo(json.dumps({"task": task, "metric": "mae",
+                               "value": mae(first, second), "n": len(rows)}))
+        return
+    for label in (0, 1):
+        if label not in second:
+            raise CliError(f"{pred_path} has no row with label {label}; AUROC needs both "
+                           "classes", EXIT_CONFIG)
+    click.echo(json.dumps({"task": task, "metric": "auroc",
+                           "value": auroc_binary(first, second.astype(int)), "n": len(rows)}))
 
 
 @main.command("inspect")

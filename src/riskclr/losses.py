@@ -72,18 +72,22 @@ def _positive_mask(positive_of: np.ndarray) -> np.ndarray:
     return P
 
 
+def _contrastive(batch: EmbeddingBatch, den_mask: np.ndarray) -> Tensor:
+    """Mean over anchors i of -log(exp(s_ij/tau) / sum_k mask_ik exp(s_ik/tau)),
+    j being i's positive."""
+    logits = ad.mul(cosine_matrix(batch.z), 1.0 / batch.tau)
+    pos_logit = ad.sum_(ad.mul(logits, _positive_mask(batch.positive_of)), axis=1)
+    den = ad.sum_(ad.mul(ad.exp(logits), den_mask), axis=1)
+    return ad.mean(ad.sub(ad.log(den), pos_logit))
+
+
 def nt_xent(batch: EmbeddingBatch) -> Tensor:
     """Normalized temperature-scaled cross entropy over all 2B anchors.
 
     Per anchor i with positive j: -log(exp(s_ij/tau) / sum_{k != i}
     exp(s_ik/tau)); the positive term stays in the denominator.
     """
-    n = batch.n_views
-    sims = cosine_matrix(batch.z)
-    logits = ad.mul(sims, 1.0 / batch.tau)
-    pos_logit = ad.sum_(ad.mul(logits, _positive_mask(batch.positive_of)), axis=1)
-    den = ad.sum_(ad.mul(ad.exp(logits), _offdiag_mask(n)), axis=1)
-    return ad.mean(ad.sub(ad.log(den), pos_logit))
+    return _contrastive(batch, _offdiag_mask(batch.n_views))
 
 
 def weighted_contrastive(batch: EmbeddingBatch, weights: WeightMatrix) -> Tensor:
@@ -102,11 +106,7 @@ def weighted_contrastive(batch: EmbeddingBatch, weights: WeightMatrix) -> Tensor
     mask = W * _offdiag_mask(n)
     if np.any(mask.sum(axis=1) <= 0.0):
         raise ValueError("an anchor has no positively-weighted negative; denominator would vanish")
-    sims = cosine_matrix(batch.z)
-    logits = ad.mul(sims, 1.0 / batch.tau)
-    pos_logit = ad.sum_(ad.mul(logits, _positive_mask(batch.positive_of)), axis=1)
-    den = ad.sum_(ad.mul(ad.exp(logits), mask), axis=1)
-    return ad.mean(ad.sub(ad.log(den), pos_logit))
+    return _contrastive(batch, mask)
 
 
 def dissim_align(batch: EmbeddingBatch, weights: WeightMatrix) -> Tensor:

@@ -4,16 +4,17 @@ Reproducibility scheme: every random stream is derived statelessly from
 (seed, purpose, indices) via SeedSequence, so augmentation draws do not
 depend on scheduling order and a resumed run continues the exact stream of
 an uninterrupted one. Checkpoints carry encoder parameters, optimizer
-moments, and the epoch cursor.
+moments, the epoch cursor and the pretraining config.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,10 @@ from .weighting import BatchRiskInfo, batch_weights, pairs_involution
 
 class NanLossError(RuntimeError):
     """Loss became non-finite; message carries the diagnostic dump."""
+
+
+class ResumeError(ValueError):
+    """The resume checkpoint was written under another configuration."""
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +332,9 @@ def pretrain(
     ``cfg.epochs``, so resuming from the written checkpoint continues the
     exact trajectory of an uninterrupted run. The checkpoint carries the
     loss history, so a resumed run's ``metrics.csv`` lists every epoch, while
-    ``PretrainResult.history`` holds only this call's epochs.
+    ``PretrainResult.history`` holds only this call's epochs. It also carries
+    ``cfg``, and resuming under another ``cfg`` or encoder raises
+    ``ResumeError`` naming the first field that differs.
     """
     if bank is None:
         bank = NoiseBank.synthetic(fs=prep.fs, seed=cfg.seed)
@@ -348,11 +355,19 @@ def pretrain(
     bad_epochs = 0
     history: list[dict] = []
     earlier: list[dict] = []  # epochs of the sessions this one resumes
+    config = json.loads(json.dumps(asdict(cfg), default=lambda v: v.item()))  # as meta stores it
 
     if resume_from is not None:
         enc2, extra, meta = load_checkpoint(resume_from)
-        if enc2.config != encoder.config:
-            raise ValueError("resume checkpoint was built for a different encoder config")
+        saved = meta.get("config")
+        if saved is None:
+            raise ResumeError("resume checkpoint records no pretraining config to check against")
+        for name, value in config.items():
+            if saved.get(name) != value:
+                raise ResumeError(f"resume checkpoint was trained with {name}={saved.get(name)!r}, "
+                                  f"this run has {name}={value!r}")
+        if enc2.config != encoder.config or enc2.dtype != encoder.dtype:
+            raise ResumeError("resume checkpoint was built for a different encoder config or dtype")
         encoder.load_state_arrays(enc2.state_arrays())
         optimizer.load_state_arrays({k[len("opt/") :]: v for k, v in extra.items()
                                      if k.startswith("opt/")})
@@ -362,8 +377,6 @@ def pretrain(
         bad_epochs = int(meta["bad_epochs"])
         earlier = meta.get("history", [])
         best_params = {k[len("best/") :]: v for k, v in extra.items() if k.startswith("best/")}
-        if not best_params:
-            best_params = encoder.state_arrays()
 
     run_path = Path(run_dir) if run_dir is not None else None
     if run_path is not None:
@@ -428,7 +441,7 @@ def pretrain(
             save_checkpoint(run_path / "last.ckpt", encoder, extra=extra,
                             meta={"next_epoch": epoch + 1, "best_val": best_val,
                                   "best_epoch": best_epoch, "bad_epochs": bad_epochs,
-                                  "history": earlier + history})
+                                  "history": earlier + history, "config": config})
             container.write_csv(run_path / "metrics.csv",
                                 ("epoch", "lr", "train_loss", "val_loss"), earlier + history)
 

@@ -9,8 +9,6 @@ from .encoder import STANDARD_CONFIGS, build
 from .losses import EmbeddingBatch, LossSpec, dissim_align, nt_xent, weighted_contrastive
 from .weighting import BatchRiskInfo, batch_weights, pairs_involution
 
-LOSS_NAMES = ("nt_xent", "weighted_contrastive", "dissim_align", "total_loss")
-
 
 def _random_case(rng: np.random.Generator, n_samples: int, h: int):
     Z = rng.normal(size=(2 * n_samples, h))

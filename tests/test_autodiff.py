@@ -124,6 +124,64 @@ class TestOpAdjoints:
             ad.conv1d(x, w, groups=2)
 
 
+def _f32(*shape, low=None):
+    x = RNG.normal(size=shape) if low is None else RNG.uniform(low, low + 1.0, size=shape)
+    return ad.parameter(x.astype(np.float32))
+
+
+class TestFloat32Storage:
+    """float32 inputs keep float32 data and gradients through every op."""
+
+    @staticmethod
+    def _run(op, *inputs):
+        with Tape() as tape:
+            out = op(*inputs)
+            loss = ad.sum_(out)
+        tape.backward(loss)
+        assert out.data.dtype == np.float32
+        assert loss.data.dtype == np.float32
+        for t in inputs:
+            if isinstance(t, Tensor):
+                assert t.grad is not None and t.grad.dtype == np.float32
+        return out
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("operand", [
+        lambda: 0.5,
+        lambda: 3,
+        lambda: np.float64(0.5),
+        lambda: np.float32(0.5),
+        lambda: RNG.normal(size=(3, 4)).astype(np.float32),
+        lambda: RNG.normal(size=(1, 4)),  # float64 array, broadcast
+        lambda: _f32(3, 4),
+        lambda: _f32(1, 4),  # tensor, broadcast
+    ], ids=["float", "int", "np-float64", "np-float32", "f32-array", "f64-array",
+            "tensor", "broadcast-tensor"])
+    def test_binary(self, op, operand):
+        self._run(op, _f32(3, 4), operand())
+
+    @pytest.mark.parametrize("op", [
+        ad.sigmoid, ad.swish, ad.softplus, ad.exp, ad.square, ad.abs_, ad.transpose,
+        ad.row_l2_normalize, ad.sum_, ad.mean,
+        lambda t: ad.sum_(t, axis=1), lambda t: ad.mean(t, axis=0),
+        lambda t: ad.reshape(t, (4, 3)),
+    ])
+    def test_unary(self, op):
+        self._run(op, _f32(3, 4))
+
+    def test_log(self):
+        self._run(ad.log, _f32(3, 4, low=0.5))
+
+    def test_matmul_and_dense(self):
+        self._run(ad.matmul, _f32(3, 4), _f32(4, 2))
+        self._run(ad.dense, _f32(3, 4), _f32(4, 2), _f32(2))
+
+    @pytest.mark.parametrize("kernel,stride,groups", [(1, 1, 1), (5, 1, 2), (4, 2, 1)])
+    def test_conv1d(self, kernel, stride, groups):
+        op = lambda x, w, b: ad.conv1d(x, w, b, stride=stride, groups=groups)  # noqa: E731
+        self._run(op, _f32(2, 9, 4), _f32(kernel, 4 // groups, 6), _f32(6))
+
+
 class TestBackwardSemantics:
     def test_simple_square(self):
         x = ad.parameter(np.array([3.0]))
@@ -233,11 +291,7 @@ class TestGradCheckHarness:
         # negative control: an op with a deliberately wrong vjp must be caught
         def bad_square(t):
             data = t.data * t.data
-
-            def build(out):
-                return lambda g: [(t, g * (3.0 * t.data))]  # wrong factor
-
-            return ad._make_out(data, (t,), build)
+            return ad._make_out(data, (t,), lambda g: [(t, g * (3.0 * t.data))])  # wrong factor
 
         x = RNG.normal(size=(4,)) + 2.0
         err = grad_check(lambda t: ad.mean(bad_square(t)), [x], eps=EPS)

@@ -96,6 +96,26 @@ class TestGenData:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("command,text,key", [
+        ("gen-data", "[1, 2]", "JSON object"),
+        ("gen-data", '{"synthetic": [1]}', "'synthetic'"),
+        ("pretrain", '{"pretrain": 5}', "'pretrain'"),
+        ("ablate", '{"downstream": "x"}', "'downstream'"),
+        ("probe", '{"downstream": null}', "'downstream'"),
+    ])
+    def test_config_shape_error_exit_2(self, runner, tmp_path, command, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        args = {"gen-data": ["--out-dir", "x"],
+                "pretrain": ["--data", "none.rds", "--run-dir", "x"],
+                "ablate": ["--pretrain-data", "a", "--downstream-data", "b", "--run-dir", "x"],
+                "probe": ["--checkpoint", str(cfg), "--data", "none", "--run-dir", "x"]}[command]
+        result = runner.invoke(main, [command, "--config", str(cfg), *args])
+        assert result.exit_code == 2, result.output
+        assert str(cfg) in result.output and key in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestPipelineCommands:
     def test_pretrain_probe_finetune_ablate(self, runner, small_data, tmp_path):
         run = tmp_path / "run"
@@ -172,6 +192,34 @@ class TestPipelineCommands:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("fractions", [[0.5, 0.6, 0.2], [0.5, 0.5], "abc", 5])
+    def test_bad_downstream_split_exit_2(self, runner, small_data, tmp_path, fractions):
+        from riskclr.encoder import STANDARD_CONFIGS, build, save_checkpoint
+
+        save_checkpoint(tmp_path / "enc.ckpt", build(STANDARD_CONFIGS["tiny"], seed=0))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"downstream_split": fractions}))
+        result = runner.invoke(main, [
+            "probe", "--config", str(cfg), "--checkpoint", str(tmp_path / "enc.ckpt"),
+            "--data", str(small_data / "down.rds"), "--run-dir", str(tmp_path / "run"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert str(cfg) in result.output and "'downstream_split'" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_resume_with_another_config_exit_2(self, runner, small_data, tmp_path):
+        run = tmp_path / "run"
+        base = ["pretrain", "--data", str(small_data / "pre.rds"), "--run-dir", str(run),
+                "--epochs", "2", "--batch-size", "12", "--seed", "3"]
+        assert runner.invoke(main, base).exit_code == 0
+        before = (run / "last.ckpt").read_bytes()
+        result = runner.invoke(main, base + ["--lr", "0.5", "--batch-size", "6",
+                                             "--resume", str(run / "last.ckpt")])
+        assert result.exit_code == 2, result.output
+        assert "batch_size=12" in result.output and "batch_size=6" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (run / "last.ckpt").read_bytes() == before
+
     def test_probe_missing_checkpoint_exit_3(self, runner, small_data, tmp_path):
         result = runner.invoke(main, [
             "probe", "--checkpoint", str(tmp_path / "none.ckpt"),
@@ -208,6 +256,39 @@ class TestEvalCommand:
         path.write_text("pred,truth\n1.0,2.0\n3.0,3.0\n")
         result = runner.invoke(main, ["eval", "--pred", str(path), "--task", "regression"])
         assert json.loads(result.output)["value"] == 0.5
+
+    def test_float_labels_parse(self, runner, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("score,label\n0.9,1.0\n0.1,0.0\n0.8,1\n0.2,0\n")
+        result = runner.invoke(main, ["eval", "--pred", str(path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["value"] == 1.0
+
+    @pytest.mark.parametrize("text,message", [
+        ("score,lab\n0.9,1\n0.1,0\n", "no 'label' column"),
+        ("score,label\n0.9,1\n0.1,2\n", "line 3, column 'label': '2' is not 0 or 1"),
+        ("score,label\n0.9,1\n0.1,0.5\n", "line 3, column 'label': '0.5' is not 0 or 1"),
+        ("score,label\n0.9,yes\n0.1,0\n", "line 2, column 'label': 'yes'"),
+        ("score,label\nhigh,1\n0.1,0\n", "line 2, column 'score': 'high' is not a finite"),
+        ("score,label\nnan,1\n0.1,0\n", "line 2, column 'score': 'nan'"),
+        ("score,label\n0.9,1\n0.1\n", "line 3, column 'label': None"),
+        ("score,label\n0.9,0\n0.1,0\n", "no row with label 1"),
+        ("score,label\n", "no prediction rows"),
+    ])
+    def test_bad_predictions_exit_2(self, runner, tmp_path, text, message):
+        path = tmp_path / "preds.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["eval", "--pred", str(path), "--task", "binary"])
+        assert result.exit_code == 2, result.output
+        assert message in result.output and str(path) in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_bad_regression_cell_exit_2(self, runner, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("pred,truth\n1.0,2.0\n3.0,\n")
+        result = runner.invoke(main, ["eval", "--pred", str(path), "--task", "regression"])
+        assert result.exit_code == 2, result.output
+        assert "line 3, column 'truth': '' is not a finite number" in result.output
 
     def test_unknown_task_exit_2(self, runner, tmp_path):
         path = tmp_path / "preds.csv"

@@ -141,6 +141,32 @@ class TestPretrainLoop:
         assert (part_dir / "metrics.csv").read_bytes() == (full_dir / "metrics.csv").read_bytes()
         assert load_checkpoint(part_dir / "best.ckpt")[2]["epochs_run"] == 4
 
+    @pytest.mark.parametrize("change,field", [
+        ({"lr": 0.5, "batch_size": 6}, "batch_size"),  # the first differing field
+        ({"dtype": "float64"}, "dtype"),
+        ({"loss": LossSpec("nce")}, "loss"),
+    ])
+    def test_resume_refuses_another_config(self, tiny_world, tmp_path, change, field):
+        from riskclr.train import ResumeError
+
+        prep, _ = tiny_world
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=3),
+                 run_dir=tmp_path, session_epochs=1)
+        cfg = fast_cfg(epochs=3, **change)
+        with pytest.raises(ResumeError, match=f"trained with {field}=.*this run has {field}="):
+            pretrain(prep, build(TINY, seed=5, dtype=np.dtype(cfg.dtype)), cfg,
+                     resume_from=tmp_path / "last.ckpt")
+        assert issubclass(ResumeError, ValueError)
+
+    def test_resume_refuses_a_checkpoint_without_config(self, tiny_world, tmp_path):
+        from riskclr.train import ResumeError
+
+        prep, _ = tiny_world
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=1), run_dir=tmp_path)
+        with pytest.raises(ResumeError, match="no pretraining config"):
+            pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=1),
+                     resume_from=tmp_path / "best.ckpt")
+
     def test_torn_last_checkpoint_write_keeps_resume_point(self, tiny_world, tmp_path,
                                                            monkeypatch):
         import os
