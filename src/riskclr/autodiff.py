@@ -113,7 +113,9 @@ class Tape:
     def backward(self, output: Tensor) -> None:
         """Accumulate d(output)/d(leaf) into ``leaf.grad`` for all leaves.
 
-        ``output`` must be scalar (size 1); its seed gradient is 1.
+        ``output`` must be scalar (size 1); its seed gradient is 1. Each
+        node leaves the tape once its VJP has run, so the arrays that only
+        the tape kept alive are freed while the pass goes on.
         """
         if output.data.size != 1:
             raise AutodiffError(f"backward requires a scalar output, got shape {output.data.shape}")
@@ -126,7 +128,9 @@ class Tape:
         # later ones allocate once and then accumulate in place.
         grads: dict[int, list] = {id(output): [np.ones_like(output.data), True]}
         tensors: dict[int, Tensor] = {id(output): output}
-        for out, vjp in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:
+            out, vjp = nodes.pop()
             slot = grads.pop(id(out), None)
             tensors.pop(id(out), None)
             if slot is None:
@@ -249,19 +253,43 @@ def sigmoid(a) -> Tensor:
 
 
 def swish(a) -> Tensor:
-    """x * sigmoid(x), the activation used throughout the encoder."""
+    """x * sigmoid(x), the activation used throughout the encoder.
+
+    With s = sigmoid(x) and y = x * s the derivative is s + y * (1 - s), so
+    the VJP reads (s, y) and not the input.
+    """
     a = _as_tensor(a)
     s = _sigmoid_stable(a.data)
+    data = a.data * s
 
     def vjp(g):
         da = 1.0 - s
-        da *= s
-        da *= a.data
+        da *= data
         da += s
         da *= g
         return [(a, da)]
 
-    return _make_out(a.data * s, (a,), vjp)
+    return _make_out(data, (a,), vjp)
+
+
+def gate(h, gate) -> Tensor:
+    """Channel gating ``h + h * gate`` of ``h`` (B, L, C) by ``gate`` (B, C),
+    computed as ``h * (1 + gate)`` in one pass."""
+    h, gate = _as_tensor(h), _as_tensor(gate)
+    if h.data.ndim != 3 or gate.data.shape != (h.data.shape[0], h.data.shape[2]):
+        raise AutodiffError(f"gate expects h (B,L,C) and gate (B,C), got {h.data.shape} "
+                            f"and {gate.data.shape}")
+    scale = (1.0 + gate.data)[:, None, :]
+
+    def vjp(g):
+        pairs = []
+        if h.requires_grad:
+            pairs.append((h, g * scale))
+        if gate.requires_grad:
+            pairs.append((gate, np.einsum("blc,blc->bc", g, h.data)))
+        return pairs
+
+    return _make_out(h.data * scale, (h, gate), vjp)
 
 
 def abs_(a) -> Tensor:
@@ -282,7 +310,8 @@ def _sigmoid_stable(x: Array) -> Array:
     # 0 after the reciprocal — correct under IEEE semantics, so only the
     # warning needs suppressing. Avoids branch masks (two extra passes).
     with np.errstate(over="ignore"):
-        out = np.exp(-x)
+        out = np.negative(x)
+        np.exp(out, out=out)
         out += 1.0
         np.reciprocal(out, out=out)
     return out

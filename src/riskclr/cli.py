@@ -229,9 +229,22 @@ finetune_cmd = _downstream_command("finetune", True,
                                    "Joint encoder + head training on the downstream task.")
 
 
+def _split_downstream(ds, raw: dict, config_path: str | None, seed: int):
+    """Train, val and test parts of ``ds``, split by subject in the config's
+    ``downstream_split`` fractions (0.6/0.2/0.2 without one)."""
+    from riskclr.data import split
+
+    fractions = raw.get("downstream_split", (0.6, 0.2, 0.2))
+    try:
+        return split(ds, fractions, mode="by-subject", seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"config file {config_path}: bad 'downstream_split' {fractions!r}: {exc}",
+                       EXIT_CONFIG)
+
+
 def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode):
     from riskclr.container import write_csv
-    from riskclr.data import DownstreamDataset, split
+    from riskclr.data import DownstreamDataset
     from riskclr.encoder import CheckpointError, load_checkpoint
     from riskclr.metrics import UndefinedMetricError
     from riskclr.train import DownstreamConfig, evaluate_head, finetune, linear_probe
@@ -245,12 +258,7 @@ def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, f
     except CheckpointError as exc:
         raise CliError(str(exc), EXIT_MISSING_INPUT)
     ds = _load_dataset(data_path, DownstreamDataset)
-    fractions = raw.get("downstream_split", (0.6, 0.2, 0.2))
-    try:
-        tr, va, te = split(ds, fractions, mode="by-subject", seed=cfg.seed)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"config file {config_path}: bad 'downstream_split' {fractions!r}: {exc}",
-                       EXIT_CONFIG)
+    tr, va, te = _split_downstream(ds, raw, config_path, cfg.seed)
     run = Path(run_dir)
     _echo_config(run, {"downstream": dataclasses.asdict(cfg), "checkpoint": str(ckpt_path),
                        "mode": "finetune" if finetune_mode else "probe"})
@@ -287,7 +295,7 @@ def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, f
 def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, lam_mixes):
     """Pretrain+probe each loss variant under identical seeds; emit a table."""
     from riskclr.container import write_csv
-    from riskclr.data import Dataset, DownstreamDataset, split
+    from riskclr.data import Dataset, DownstreamDataset
     from riskclr.train import (ABLATION_VARIANTS, DownstreamConfig, PreparedPretrain,
                                PretrainConfig, ablate, lambda_mix_variants)
 
@@ -297,7 +305,7 @@ def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, 
     enc_cfg = _encoder_config(encoder_name)
     pre = _load_dataset(pre_path, Dataset)
     down = _load_dataset(down_path, DownstreamDataset)
-    tr, va, te = split(down, (0.6, 0.2, 0.2), mode="by-subject", seed=probe_cfg.seed)
+    tr, va, te = _split_downstream(down, raw, config_path, probe_cfg.seed)
     run = Path(run_dir)
     variants = ABLATION_VARIANTS + (lambda_mix_variants() if lam_mixes else ())
     _echo_config(run, {"pretrain": dataclasses.asdict(cfg),

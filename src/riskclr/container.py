@@ -1,9 +1,9 @@
-"""The one on-disk container for datasets, noise banks and checkpoints.
+"""The one on-disk container for datasets and checkpoints.
 
 Layout: the magic ``RCLRCONT``, a 4-byte little-endian header length, a
 UTF-8 JSON header (sorted keys), the named arrays back to back, and a
 sha256 of everything before it. The header holds the format ``version``,
-the ``kind`` (``pretrain``, ``downstream``, ``arrays`` or ``checkpoint``),
+the ``kind`` (``pretrain``, ``downstream`` or ``checkpoint``),
 the caller's ``fields``, and per array its name, little-endian dtype string
 and shape. Each array is stored C-ordered in its own dtype.
 
@@ -27,7 +27,7 @@ import numpy as np
 
 MAGIC = b"RCLRCONT"
 VERSION = 2
-KINDS = ("pretrain", "downstream", "arrays", "checkpoint")
+KINDS = ("pretrain", "downstream", "checkpoint")
 _RETIRED_MAGICS = (b"RCLRDATA", b"RCLRCKPT")
 _LEN_BYTES = 4
 _DIGEST_BYTES = 32

@@ -332,18 +332,6 @@ def load(path: str | os.PathLike):
         return load_bytes(fh.read())
 
 
-def save_noise_bank(path: str | os.PathLike, bank) -> None:
-    container.write_atomic(path, container.pack("arrays", {"fs": float(bank.fs)}, bank.recordings))
-
-
-def load_noise_bank(path: str | os.PathLike):
-    from .signal import NoiseBank
-
-    with open(path, "rb") as fh:
-        _, header, arrays = container.unpack(fh.read(), "arrays")
-    return NoiseBank(fs=header["fs"], recordings={k: v.copy() for k, v in arrays.items()})
-
-
 def export_metadata_csv(dataset: Dataset, path: str | os.PathLike) -> None:
     """Write the metadata sidecar in the schema the scoring CLI reads."""
     rows = [{"subject_id": sid, **record_to_csv_row(meta)}

@@ -3,10 +3,14 @@
 Structure: a stride-2 stem convolution (kernel 16, one input channel)
 followed by stages of residual blocks. Each block runs 1x1 conv -> grouped
 16-tap conv -> 1x1 conv with swish between the convolutions, plus an
-identity shortcut (1x1 projection when the channel count changes). After the last block of each
-stage, channel gating: mean-pool over time, a 2-layer swish MLP (hidden
-h/2), sigmoid, channel-wise multiply, and the gated tensor is added back.
-The final stage output is mean-pooled over time into the embedding.
+identity shortcut (1x1 projection when the channel count changes). After
+the last block of each stage, channel gating: mean-pool over time, a
+2-layer swish MLP (hidden h/2) and a sigmoid give a per-channel gate, and
+the stage output is ``h + h * gate``, computed as ``h * (1 + gate)`` by one
+op. The embedding is the final stage's output mean-pooled over time. The
+gate is constant over time, so the last stage computes it as ``pooled * (1
++ gate)`` from the mean it already took for its gate, and never builds its
+full-size gated output.
 
 No normalization layers anywhere; temporal downsampling happens only at the
 stem. The per-stage bottleneck width is round(stage_channels * ratio) and
@@ -179,9 +183,11 @@ class Encoder:
             pooled = ad.mean(h, axis=1)
             gate = ad.swish(ad.dense(pooled, p[f"{g}.fc1.w"], p[f"{g}.fc1.b"]))
             gate = ad.sigmoid(ad.dense(gate, p[f"{g}.fc2.w"], p[f"{g}.fc2.b"]))
-            gated = ad.mul(h, ad.reshape(gate, (gate.data.shape[0], 1, ch)))
-            h = ad.add(h, gated)
-        return ad.mean(h, axis=1)
+            if si < len(self.config.stages) - 1:
+                h = ad.gate(h, gate)
+        # the gate is constant over time, so the time mean of the last
+        # stage's gated output is its gated time mean
+        return ad.mul(pooled, ad.add(gate, 1.0))
 
     def embed(self, signals: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Inference-only embeddings, chunked to bound memory."""

@@ -266,8 +266,17 @@ def record_from_csv_row(row: dict[str, str]) -> MetadataRecord:
         return float(v) if v else None
 
     def binary(key: str) -> int | None:
+        # "1.0" reads as 1; any other value than 0 or 1 is refused, not truncated
         v = row.get(key, "").strip()
-        return int(float(v)) if v else None
+        if not v:
+            return None
+        try:
+            value = float(v)
+        except ValueError:
+            value = math.nan
+        if value not in (0.0, 1.0):
+            raise ValueError(f"column {key!r}: {v!r} is not 0 or 1")
+        return int(value)
 
     gender = row.get("gender", "").strip().lower() or None
     return MetadataRecord(

@@ -1,5 +1,7 @@
 """Adjoint correctness for every op, plus tape semantics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,24 @@ class TestOpAdjoints:
         x = RNG.normal(size=(2, 6, 3))
         g = RNG.normal(size=(2, 1, 3))
         assert grad_check(lambda a, b: ad.mean(ad.mul(a, b)), [x, g], eps=EPS) < TOL
+
+    def test_gate(self):
+        h = RNG.normal(size=(2, 5, 3))
+        g = RNG.uniform(0.1, 0.9, size=(2, 3))
+        assert grad_check(lambda ht, gt: ad.mean(ad.square(ad.gate(ht, gt))), [h, g],
+                          eps=EPS) < TOL
+
+    def test_gate_is_h_plus_h_times_gate(self):
+        h = RNG.normal(size=(3, 7, 4))
+        g = RNG.uniform(0.0, 1.0, size=(3, 4))
+        np.testing.assert_allclose(ad.gate(Tensor(h), Tensor(g)).data, h + h * g[:, None, :],
+                                   rtol=1e-14)
+
+    def test_gate_rejects_bad_shapes(self):
+        with pytest.raises(AutodiffError):
+            ad.gate(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 1, 3))))
+        with pytest.raises(AutodiffError):
+            ad.gate(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((3, 3))))
 
     def test_row_l2_normalize(self):
         x = RNG.normal(size=(4, 6)) + 0.1
@@ -172,6 +192,9 @@ class TestFloat32Storage:
     def test_log(self):
         self._run(ad.log, _f32(3, 4, low=0.5))
 
+    def test_gate(self):
+        self._run(ad.gate, _f32(2, 5, 3), _f32(2, 3))
+
     def test_matmul_and_dense(self):
         self._run(ad.matmul, _f32(3, 4), _f32(4, 2))
         self._run(ad.dense, _f32(3, 4), _f32(4, 2), _f32(2))
@@ -234,6 +257,17 @@ class TestBackwardSemantics:
             y = ad.add(ad.square(x), ad.mul(x, 3.0))
         tape.backward(y)
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_backward_frees_intermediates(self):
+        x = ad.parameter(RNG.normal(size=(3,)))
+        with Tape() as tape:
+            y = ad.exp(x)
+            loss = ad.sum_(ad.square(y))
+        kept = weakref.ref(y.data)
+        del y
+        tape.backward(loss)
+        assert kept() is None
+        np.testing.assert_allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
 
     def test_no_tape_records_nothing(self):
         x = ad.parameter(np.array([2.0]))

@@ -58,6 +58,24 @@ class TestScore2Command:
         result = runner.invoke(main, ["score2", "--input", str(src)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("smoking,diabetes,column,value", [
+        ("0.5", "0", "smoking", "0.5"),
+        ("1", "1.9", "diabetes", "1.9"),
+        ("2", "0", "smoking", "2"),
+        ("0", "-1", "diabetes", "-1"),
+        ("yes", "0", "smoking", "yes"),
+        ("nan", "0", "smoking", "nan"),
+    ])
+    def test_non_binary_cell_exit_2(self, runner, tmp_path, smoking, diabetes, column, value):
+        src = tmp_path / "meta.csv"
+        src.write_text("age,gender,smoking,sbp,diabetes,tchol,hdl\n"
+                       "60,male,1.0,120,0.0,6,1.3\n"
+                       f"60,male,{smoking},120,{diabetes},6,1.3\n")
+        result = runner.invoke(main, ["score2", "--input", str(src)])
+        assert result.exit_code == 2, result.output
+        assert f"row 1: column {column!r}: {value!r} is not 0 or 1" in result.output
+        assert isinstance(result.exception, SystemExit)
+
 
 class TestGenData:
     def test_generates_and_echoes_config(self, runner, tmp_path):
@@ -206,6 +224,19 @@ class TestPipelineCommands:
         assert result.exit_code == 2, result.output
         assert str(cfg) in result.output and "'downstream_split'" in result.output
         assert isinstance(result.exception, SystemExit)
+
+    def test_ablate_bad_downstream_split_exit_2(self, runner, small_data, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pretrain": {"epochs": 1, "batch_size": 12},
+                                   "downstream_split": [0.5, 0.6, 0.2]}))
+        result = runner.invoke(main, [
+            "ablate", "--config", str(cfg), "--pretrain-data", str(small_data / "pre.rds"),
+            "--downstream-data", str(small_data / "down.rds"), "--run-dir", str(tmp_path / "ab"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert str(cfg) in result.output and "'downstream_split'" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "ab" / "ablation.csv").exists()
 
     def test_resume_with_another_config_exit_2(self, runner, small_data, tmp_path):
         run = tmp_path / "run"

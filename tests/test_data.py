@@ -12,14 +12,12 @@ from riskclr.data import (
     generate_synthetic,
     load,
     load_bytes,
-    load_noise_bank,
     save,
     save_bytes,
-    save_noise_bank,
     split,
 )
 from riskclr.risk_score import risk_from_record
-from riskclr.signal import NoiseBank, preprocess
+from riskclr.signal import preprocess
 
 
 @pytest.fixture(scope="module")
@@ -193,15 +191,6 @@ class TestContainer:
         for sid, meta, row in zip(pre.subject_ids, pre.metadata, rows):
             assert row["subject_id"] == sid
             assert record_from_csv_row(row) == meta
-
-    def test_noise_bank_roundtrip(self, tmp_path):
-        bank = NoiseBank.synthetic(seed=1, duration=1.0)
-        path = tmp_path / "noise.rda"
-        save_noise_bank(path, bank)
-        back = load_noise_bank(path)
-        assert back.fs == bank.fs
-        for cat in bank.recordings:
-            np.testing.assert_array_equal(back.recordings[cat], bank.recordings[cat])
 
 
 class TestColumns:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from riskclr import autodiff as ad
 from riskclr import container
 from riskclr import encoder as encoder_mod
-from riskclr.autodiff import Tape
+from riskclr.autodiff import Tape, Tensor
 from riskclr.encoder import (
     STANDARD_CONFIGS,
     CheckpointError,
@@ -113,6 +114,64 @@ class TestForward:
         a = e64.forward(x).data
         b = e32.forward(x.astype(np.float32)).data
         np.testing.assert_allclose(a, b, rtol=5e-3, atol=5e-4)
+
+
+def _composed_forward(enc, signals):
+    """Encoder.forward written with the plain ops: each stage gated by
+    reshape, mul and add, and the embedding a time mean of the last stage."""
+    p, cfg = enc.params, enc.config
+    x = Tensor(signals)
+    h = ad.reshape(x, (x.data.shape[0], x.data.shape[1], 1))
+    h = ad.swish(ad.conv1d(h, p["stem.w"], p["stem.b"], stride=encoder_mod.STEM_STRIDE))
+    in_ch = cfg.hidden_dim
+    for si, (ch, blocks) in enumerate(cfg.stages):
+        groups = cfg.stage_width(ch) // cfg.group_width
+        for bi in range(blocks):
+            pre = f"stage{si}.block{bi}"
+            y = ad.swish(ad.conv1d(h, p[f"{pre}.conv1.w"], p[f"{pre}.conv1.b"]))
+            y = ad.swish(ad.conv1d(y, p[f"{pre}.conv2.w"], p[f"{pre}.conv2.b"], groups=groups))
+            y = ad.conv1d(y, p[f"{pre}.conv3.w"], p[f"{pre}.conv3.b"])
+            if in_ch != ch:
+                h = ad.conv1d(h, p[f"{pre}.proj.w"], p[f"{pre}.proj.b"])
+            h = ad.add(y, h)
+            in_ch = ch
+        g = f"stage{si}.gate"
+        gate = ad.swish(ad.dense(ad.mean(h, axis=1), p[f"{g}.fc1.w"], p[f"{g}.fc1.b"]))
+        gate = ad.sigmoid(ad.dense(gate, p[f"{g}.fc2.w"], p[f"{g}.fc2.b"]))
+        h = ad.add(h, ad.mul(h, ad.reshape(gate, (gate.data.shape[0], 1, ch))))
+    return ad.mean(h, axis=1)
+
+
+class TestComposedReference:
+    """The fused gate and the pooled last stage compute what the plain
+    composition computes, forward and backward, up to float64 rounding."""
+
+    @staticmethod
+    def _run(forward, enc, signals, weights):
+        for t in enc.params.values():
+            t.grad = None
+        with Tape() as tape:
+            z = forward(signals)
+            loss = ad.sum_(ad.mul(z, weights))
+        tape.backward(loss)
+        return z.data, {n: t.grad for n, t in enc.params.items()}
+
+    @pytest.mark.parametrize("name", ["tiny", "s"])
+    def test_forward_and_gradients_match(self, name):
+        enc = build(STANDARD_CONFIGS[name], seed=11)
+        rng = np.random.default_rng(5)
+        for si, (ch, _) in enumerate(enc.config.stages):
+            # gates spread around 0.5, not all near it as at initialization
+            enc.params[f"stage{si}.gate.fc2.b"].data = rng.normal(size=ch)
+        signals = rng.normal(size=(3, 300))
+        weights = rng.normal(size=(3, enc.config.output_dim))
+        z, grads = self._run(enc.forward, enc, signals, weights)
+        z_ref, grads_ref = self._run(lambda s: _composed_forward(enc, s), enc, signals, weights)
+        np.testing.assert_allclose(z, z_ref, rtol=1e-12, atol=0.0)
+        for n in grads:
+            scale = np.abs(grads_ref[n]).max()
+            np.testing.assert_allclose(grads[n], grads_ref[n], rtol=0.0, atol=1e-11 * scale,
+                                       err_msg=n)
 
 
 class TestGradients:
