@@ -6,8 +6,9 @@ echoed as JSON, metrics land in CSV files, and reruns with the same config
 and seed reproduce outputs byte-for-byte (modulo file timestamps).
 
 Exit codes: 0 success; 2 config or input error (bad JSON, keys or values, a
-resume under another config, a bad predictions CSV); 3 missing input file;
-4 non-finite loss abort; 1 anything else.
+resume under another config, a dataset whose sample rate has no exact ratio
+to 500 Hz, a bad predictions CSV); 3 missing input file; 4 non-finite loss
+abort; 1 anything else.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ def gen_data_cmd(config_path, out_dir, n_subjects, n_downstream, seed):
 
 def _load_dataset(path: str, kind):
     from riskclr import data as data_mod
+    from riskclr.signal import TARGET_FS, rate_ratio
 
     p = Path(path)
     if not p.exists() and not p.is_absolute():
@@ -170,6 +172,10 @@ def _load_dataset(path: str, kind):
         raise CliError(str(exc), EXIT_MISSING_INPUT)
     if not isinstance(ds, kind):
         raise CliError(f"{path} holds the wrong dataset kind", EXIT_CONFIG)
+    try:
+        rate_ratio(ds.fs, TARGET_FS)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_CONFIG)
     return ds
 
 

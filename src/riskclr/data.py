@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import container
+from .checks import NON_NEGATIVE, POSITIVE, UNIT, check_fields, integer
 from .container import DataFormatError
 from .risk_score import CSV_COLUMNS, MetadataRecord, impute, record_to_csv_row, score2
 
@@ -123,11 +124,11 @@ class SyntheticConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if min(self.hr_coupling, self.t_amp_coupling, self.noise_coupling,
-               self.qt_coupling) < 0:
-            raise ValueError("coupling strengths must be non-negative")
-        if self.n_subjects <= 0 or self.fs <= 0 or self.duration <= 0:
-            raise ValueError("n_subjects, fs, duration must be positive")
+        check_fields(
+            self, n_subjects=integer(1), n_downstream=integer(0), fs=POSITIVE,
+            duration=POSITIVE, optional_presence=UNIT, hr_coupling=NON_NEGATIVE,
+            t_amp_coupling=NON_NEGATIVE, noise_coupling=NON_NEGATIVE,
+            qt_coupling=NON_NEGATIVE, binary_quantile=UNIT, seed=integer(0))
 
     def null_variant(self) -> "SyntheticConfig":
         """Same sizes, all risk-to-morphology couplings switched off."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checks import BOOL, NON_NEGATIVE, check_fields, one_of
 from .weighting import WeightMatrix
 
 DEFAULT_TAU = 0.07
@@ -137,8 +138,7 @@ class LossSpec:
     KINDS = ("nce", "w", "d", "nce+d", "w+d")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {self.KINDS}")
+        check_fields(self, kind=one_of(*self.KINDS), lam=NON_NEGATIVE, normalize=BOOL)
 
     def label(self) -> str:
         if self.kind in ("nce+d", "w+d") and self.lam != 1.0:

@@ -8,15 +8,15 @@ polyphase windowed-sinc (Kaiser window) and computes only the kept outputs.
 
 Augmentation draws one of five choices with equal probability: four noise
 categories injected as x + phi * n, or no perturbation. Random masking is an
-independent, toggleable post-step rather than a sixth choice. Augmentation
-never touches metadata.
+independent, toggleable post-step rather than a sixth choice. Both work on
+plain sample arrays and never write into their input.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -34,24 +34,6 @@ MASK_FRACTION = 0.10
 
 NOISE_CATEGORIES = ("muscle", "movement", "baseline_wander", "white")
 AUGMENT_CHOICES = NOISE_CATEGORIES + ("none",)
-
-
-@dataclass
-class SignalView:
-    """One single-lead signal plus enough provenance to replay it."""
-
-    samples: np.ndarray
-    fs: float
-    lead_id: int  # 1..12
-    source_id: str = ""
-    augmentation: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fs <= 0 or self.samples.size == 0:
-            raise ValueError("view needs fs > 0 and at least one sample")
-        if not 1 <= self.lead_id <= 12:
-            raise ValueError(f"lead_id must be in 1..12, got {self.lead_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +213,41 @@ def _resample_filter(up: int, down: int, half_zeros: int = 10, beta: float = 8.6
     return h * (up / h.sum())
 
 
+def rate_ratio(fs_in: float, fs_out: float) -> tuple[int, int]:
+    """(up, down), the reduced fraction fs_out/fs_in with down <= 1000.
+
+    Raises ValueError naming both rates when no such fraction is within
+    1e-12 relative of the ratio, so no rate is ever approximated.
+    """
+    if not (0 < fs_in < math.inf and 0 < fs_out < math.inf):
+        raise ValueError(f"sample rates must be positive and finite, got {fs_in!r} and {fs_out!r}")
+    ratio = fs_out / fs_in
+    frac = Fraction(ratio).limit_denominator(1000)
+    if abs(frac.numerator / frac.denominator - ratio) > 1e-12 * ratio:
+        raise ValueError(f"cannot resample {fs_in!r} Hz to {fs_out!r} Hz: the rate ratio "
+                         f"{ratio!r} is no fraction with a denominator up to 1000")
+    return frac.numerator, frac.denominator
+
+
 def resample(signal: np.ndarray, fs_in: float, fs_out: float = TARGET_FS) -> np.ndarray:
     """Band-limited rate conversion; output length is round(n * fs_out/fs_in).
 
     Polyphase: of the zero-stuffed, lowpassed and decimated signal only the
-    kept outputs are computed. With up/down the reduced rate ratio, the taps
-    repeat every `up` outputs and `down` inputs, so one (width, up) table
-    applied to input windows that start `down` samples apart gives each
-    block of `up` outputs; rows go through in chunks of RESAMPLE_CHUNK_ROWS.
-    Outputs past ceil(n*up/down) repeat the last one.
+    kept outputs are computed. With up/down the exact reduced rate ratio (see
+    `rate_ratio`), the taps repeat every `up` outputs and `down` inputs, so
+    one (width, up) table applied to input windows that start `down` samples
+    apart gives each block of `up` outputs; rows go through in chunks of
+    RESAMPLE_CHUNK_ROWS.
     """
-    if fs_in <= 0 or fs_out <= 0:
-        raise ValueError("sample rates must be positive")
+    up, down = rate_ratio(fs_in, fs_out)
     x = np.asarray(signal, dtype=np.float64)
-    if fs_in == fs_out:
+    if up == down:
         return x.copy()
-    frac = Fraction(fs_out / fs_in).limit_denominator(1000)
-    up, down = frac.numerator, frac.denominator
     t = x.shape[-1]
     out_len = int(round(t * fs_out / fs_in))
-    n_valid = min(-(-t * up // down), out_len)
     flat = x.reshape(-1, t)
     out = np.empty((flat.shape[0], out_len))
-    if n_valid:
+    if out_len:
         h = _resample_filter(up, down)
         half = (len(h) - 1) // 2
         # Window row w of block b holds x[b*down - lead + w]; column r is
@@ -262,15 +256,14 @@ def resample(signal: np.ndarray, fs_in: float, fs_out: float = TARGET_FS) -> np.
         width = lead + (half + (up - 1) * down) // up + 1
         tap = half + np.arange(up)[None, :] * down + (lead - np.arange(width)[:, None]) * up
         table = np.where((tap >= 0) & (tap < len(h)), h[np.clip(tap, 0, len(h) - 1)], 0.0)
-        span = (-(-n_valid // up) - 1) * down + width
+        span = (-(-out_len // up) - 1) * down + width
         buf = np.zeros((min(RESAMPLE_CHUNK_ROWS, len(flat)), max(span, lead + t)))
         for lo in range(0, len(flat), RESAMPLE_CHUNK_ROWS):
             rows = flat[lo : lo + RESAMPLE_CHUNK_ROWS]
             buf[: len(rows), lead : lead + t] = rows
             windows = sliding_window_view(buf[: len(rows), :span], width, axis=-1)[:, ::down]
             blocks = (windows @ table).reshape(len(rows), -1)
-            out[lo : lo + len(rows), :n_valid] = blocks[:, :n_valid]
-        out[:, n_valid:] = out[:, n_valid - 1 : n_valid]
+            out[lo : lo + len(rows)] = blocks[:, :out_len]
     return out.reshape(*x.shape[:-1], out_len)
 
 
@@ -287,18 +280,10 @@ def zscore(signal: np.ndarray) -> tuple[np.ndarray, bool]:
     return out, degenerate
 
 
-def preprocess(
-    signal: np.ndarray,
-    fs_in: float,
-    fs_out: float = TARGET_FS,
-    low: float = BAND_LOW_HZ,
-    high: float = BAND_HIGH_HZ,
-    order: int = FILTER_ORDER,
-) -> tuple[np.ndarray, bool]:
-    """resample -> bandpass -> zscore, returning the degenerate flag."""
-    x = resample(signal, fs_in, fs_out)
-    x = bandpass(x, fs_out, low, high, order)
-    return zscore(x)
+def preprocess(signal: np.ndarray, fs_in: float) -> np.ndarray:
+    """resample to TARGET_FS -> bandpass -> zscore; a row that is flat after the
+    bandpass comes out as zeros."""
+    return zscore(bandpass(resample(signal, fs_in), TARGET_FS))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +294,8 @@ def preprocess(
 class NoiseBank:
     """Per-category noise recordings, one row per lead, unit standard deviation.
 
-    Recordings can be loaded from files (see data container helpers) or
-    synthesized; draws crop a random window of the requested length.
+    Built in memory, by `synthetic` or from caller-supplied arrays; draws crop
+    a random window of the requested length.
     """
 
     fs: float
@@ -367,7 +352,10 @@ class NoiseBank:
     def draw(self, category: str, lead_id: int, length: int, rng: np.random.Generator) -> np.ndarray:
         if category not in self.recordings:
             raise KeyError(f"noise category {category!r} not available in bank")
-        rec = self.recordings[category][lead_id - 1]
+        leads = self.recordings[category]
+        if not 1 <= lead_id <= len(leads):
+            raise ValueError(f"lead_id must be in 1..{len(leads)}, got {lead_id}")
+        rec = leads[lead_id - 1]
         if rec.shape[0] < length:
             reps = -(-length // rec.shape[0])
             rec = np.tile(rec, reps)
@@ -375,44 +363,28 @@ class NoiseBank:
         return rec[offset : offset + length]
 
 
-def augment(view: SignalView, bank: NoiseBank, rng: np.random.Generator,
-            phi: float = NOISE_INTENSITY) -> SignalView:
-    """Apply one of the five equally likely choices; record it in provenance."""
+def augment(samples: np.ndarray, lead_id: int, bank: NoiseBank, rng: np.random.Generator,
+            phi: float = NOISE_INTENSITY) -> np.ndarray:
+    """A float64 copy of one lead's ``samples`` under one of the five equally
+    likely choices: ``phi`` times a crop of that lead's noise, or nothing."""
+    x = np.array(samples, dtype=np.float64)
     choice = AUGMENT_CHOICES[int(rng.integers(len(AUGMENT_CHOICES)))]
-    if choice == "none":
-        return replace(view, samples=view.samples.copy(),
-                       augmentation=view.augmentation + ("none",))
-    noise = bank.draw(choice, view.lead_id, view.samples.shape[0], rng)
-    return replace(
-        view,
-        samples=view.samples + phi * noise,
-        augmentation=view.augmentation + (f"{choice}(phi={phi:g})",),
-    )
+    if choice != "none":
+        x += phi * bank.draw(choice, lead_id, x.shape[0], rng)
+    return x
 
 
-def random_mask(view: SignalView, rng: np.random.Generator, p: float = MASK_PROB,
-                frac: float = MASK_FRACTION, mode: str = "contiguous") -> SignalView:
-    """With probability p, zero out a `frac` portion of the samples.
-
-    Default is a single contiguous segment at a uniform offset; "scattered"
-    zeroes the same number of positions drawn without replacement.
-    """
+def random_mask(samples: np.ndarray, rng: np.random.Generator, p: float = MASK_PROB,
+                frac: float = MASK_FRACTION) -> np.ndarray:
+    """With probability p, a copy of ``samples`` with one contiguous ``frac``
+    portion zeroed at a uniform offset; otherwise ``samples`` itself."""
     if not (0.0 <= p <= 1.0 and 0.0 <= frac <= 1.0):
         raise ValueError("p and frac must lie in [0, 1]")
-    if rng.random() >= p:
-        return view
-    t = view.samples.shape[0]
+    t = samples.shape[0]
     n_mask = int(round(frac * t))
-    samples = view.samples.copy()
-    if n_mask > 0:
-        if mode == "contiguous":
-            start = int(rng.integers(0, t - n_mask + 1))
-            samples[start : start + n_mask] = 0.0
-        elif mode == "scattered":
-            idx = rng.choice(t, size=n_mask, replace=False)
-            samples[idx] = 0.0
-        else:
-            raise ValueError(f"unknown mask mode {mode!r}")
-    return replace(view, samples=samples,
-                   augmentation=view.augmentation + (f"mask({mode},{n_mask})",))
-
+    if rng.random() >= p or n_mask == 0:
+        return samples
+    start = int(rng.integers(0, t - n_mask + 1))
+    out = samples.copy()
+    out[start : start + n_mask] = 0.0
+    return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -22,12 +21,13 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Tape, Tensor
+from .checks import BOOL, INTEGER, NON_NEGATIVE, POSITIVE, UNIT, check_fields, integer, one_of
 from .data import Dataset, DownstreamDataset
 from .encoder import Encoder, build, load_checkpoint, save_checkpoint
 from .losses import DEFAULT_ALPHA, DEFAULT_TAU, EmbeddingBatch, LossSpec
 from .metrics import TargetScaler, auroc_binary, mae
 from .risk_score import risk_from_record
-from .signal import NoiseBank, SignalView, augment, preprocess, random_mask
+from .signal import NoiseBank, augment, preprocess, random_mask
 from .weighting import BatchRiskInfo, batch_weights, pairs_involution
 
 
@@ -119,34 +119,6 @@ class Schedule:
 # configuration
 
 
-def _integer(lo: int, hi: float = math.inf):
-    rule = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
-    return lambda v: isinstance(v, numbers.Integral) and lo <= v <= hi, rule
-
-
-def _one_of(*options):
-    return lambda v: v in options, f"one of {options}"
-
-
-_INTEGER = (lambda v: isinstance(v, numbers.Integral), "an integer")
-_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
-_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
-_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
-
-
-def _check_fields(cfg, **rules) -> None:
-    """Raise ValueError naming the first field of ``cfg`` that breaks its
-    (predicate, description) rule; a predicate that raises counts as broken."""
-    for name, (ok, rule) in rules.items():
-        value = getattr(cfg, name)
-        try:
-            good = bool(ok(value))
-        except TypeError:
-            good = False
-        if not good:
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PretrainConfig:
     batch_size: int = 64
@@ -164,21 +136,18 @@ class PretrainConfig:
     noise_intensity: float = 0.02
     mask_prob: float = 0.2
     mask_fraction: float = 0.10
-    mask_mode: str = "contiguous"
     deterministic_impute: bool = False
     dtype: str = "float32"  # storage mode for training tensors
 
     def __post_init__(self):
-        _check_fields(
-            self, batch_size=_integer(2), epochs=_integer(1), lr=_POSITIVE,
-            weight_decay=_NON_NEGATIVE, tau=_POSITIVE, alpha=_UNIT, patience=_integer(0),
-            seed=_INTEGER, lead_mode=_one_of("all-12", "fixed-lead"),
-            fixed_lead=_integer(1, 12), val_fraction=(lambda v: 0 <= v < 1, "in [0, 1)"),
+        check_fields(
+            self, batch_size=integer(2), epochs=integer(1), lr=POSITIVE,
+            weight_decay=NON_NEGATIVE, tau=POSITIVE, alpha=UNIT, patience=integer(0),
+            seed=INTEGER, lead_mode=one_of("all-12", "fixed-lead"),
+            fixed_lead=integer(1, 12), val_fraction=(lambda v: 0 <= v < 1, "in [0, 1)"),
             loss=(lambda v: isinstance(v, LossSpec), "a LossSpec"),
-            noise_intensity=_NON_NEGATIVE, mask_prob=_UNIT, mask_fraction=_UNIT,
-            mask_mode=_one_of("contiguous", "scattered"),
-            deterministic_impute=(lambda v: isinstance(v, bool), "a bool"),
-            dtype=_one_of("float32", "float64"))
+            noise_intensity=NON_NEGATIVE, mask_prob=UNIT, mask_fraction=UNIT,
+            deterministic_impute=BOOL, dtype=one_of("float32", "float64"))
 
 
 @dataclass(frozen=True)
@@ -193,10 +162,10 @@ class DownstreamConfig:
     seed: int = 42
 
     def __post_init__(self):
-        _check_fields(
-            self, task=_one_of("binary", "regression"), batch_size=_integer(1),
-            epochs=_integer(1), lr=_POSITIVE, weight_decay=_NON_NEGATIVE,
-            patience=_integer(0), restart_period=_integer(1), seed=_INTEGER)
+        check_fields(
+            self, task=one_of("binary", "regression"), batch_size=integer(1),
+            epochs=integer(1), lr=POSITIVE, weight_decay=NON_NEGATIVE,
+            patience=integer(0), restart_period=integer(1), seed=INTEGER)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +203,7 @@ class PreparedPretrain:
         if len(ds) == 0:
             raise ValueError("empty pretraining dataset")
         n, n_leads, t = ds.leads.shape
-        flat, _ = preprocess(ds.leads.reshape(n * n_leads, t).astype(np.float64), fs_in=ds.fs)
+        flat = preprocess(ds.leads.reshape(n * n_leads, t).astype(np.float64), fs_in=ds.fs)
         signals = flat.reshape(n, n_leads, -1).astype(np.float32)
         risks = np.empty(n)
         missing = np.empty(n, dtype=np.int64)
@@ -265,16 +234,18 @@ class PretrainResult:
     checkpoint_path: str | None
 
 
-def _make_views(prep: PreparedPretrain, subjects: np.ndarray, cfg: PretrainConfig,
-                bank: NoiseBank, epoch: int, validation: bool = False) -> np.ndarray:
-    """Two augmented views per subject, interleaved (2i, 2i+1 are positives).
+def _make_batch(prep: PreparedPretrain, subjects: np.ndarray, cfg: PretrainConfig,
+                bank: NoiseBank, epoch: int,
+                validation: bool = False) -> tuple[np.ndarray, BatchRiskInfo]:
+    """Two augmented views per subject, interleaved (2i, 2i+1 are positives),
+    and the risk info of those views.
 
     Streams are keyed by (seed, purpose, phase, epoch, subject, view) so the
     result is independent of batch composition and scheduling; validation
     views are epoch-independent to keep the early-stopping signal stable.
     """
     t = prep.signals.shape[2]
-    out = np.empty((2 * len(subjects), t), dtype=np.float32)
+    views = np.empty((2 * len(subjects), t), dtype=np.float32)
     phase = 1 if validation else 0
     ep = 0 if validation else epoch
     for j, s in enumerate(subjects):
@@ -284,16 +255,14 @@ def _make_views(prep: PreparedPretrain, subjects: np.ndarray, cfg: PretrainConfi
         else:
             lead = int(_stream(cfg.seed, "lead", phase, ep, s).integers(12)) + 1
         for v in (0, 1):
-            view = SignalView(samples=prep.signals[s, lead - 1].astype(np.float64),
-                              fs=prep.fs, lead_id=lead,
-                              source_id=prep.subject_ids[s])
-            rng = _stream(cfg.seed, "aug", phase, ep, s, v)
-            view = augment(view, bank, rng, phi=cfg.noise_intensity)
-            view = random_mask(view, _stream(cfg.seed, "mask", phase, ep, s, v),
-                               p=cfg.mask_prob, frac=cfg.mask_fraction,
-                               mode=cfg.mask_mode)
-            out[2 * j + v] = view.samples.astype(np.float32)
-    return out
+            x = augment(prep.signals[s, lead - 1], lead, bank,
+                        _stream(cfg.seed, "aug", phase, ep, s, v), phi=cfg.noise_intensity)
+            views[2 * j + v] = random_mask(x, _stream(cfg.seed, "mask", phase, ep, s, v),
+                                           p=cfg.mask_prob, frac=cfg.mask_fraction)
+    info = BatchRiskInfo(r=np.repeat(prep.risks[subjects], 2),
+                         m=np.repeat(prep.missing[subjects], 2),
+                         positive_of=pairs_involution(len(subjects)))
+    return views, info
 
 
 def _batch_loss(encoder: Encoder, views: np.ndarray, info: BatchRiskInfo,
@@ -333,8 +302,9 @@ def pretrain(
     exact trajectory of an uninterrupted run. The checkpoint carries the
     loss history, so a resumed run's ``metrics.csv`` lists every epoch, while
     ``PretrainResult.history`` holds only this call's epochs. It also carries
-    ``cfg``, and resuming under another ``cfg`` or encoder raises
-    ``ResumeError`` naming the first field that differs.
+    ``cfg``, and resuming under another ``cfg`` or encoder, or from a config
+    with a field this version lacks, raises ``ResumeError`` naming the first
+    field that differs.
     """
     if bank is None:
         bank = NoiseBank.synthetic(fs=prep.fs, seed=cfg.seed)
@@ -362,10 +332,13 @@ def pretrain(
         saved = meta.get("config")
         if saved is None:
             raise ResumeError("resume checkpoint records no pretraining config to check against")
-        for name, value in config.items():
-            if saved.get(name) != value:
+        for name in dict.fromkeys([*config, *saved]):
+            if name not in config:
+                raise ResumeError(f"resume checkpoint was trained with {name}={saved[name]!r}, "
+                                  f"a field this version does not have")
+            if saved.get(name) != config[name]:
                 raise ResumeError(f"resume checkpoint was trained with {name}={saved.get(name)!r}, "
-                                  f"this run has {name}={value!r}")
+                                  f"this run has {name}={config[name]!r}")
         if enc2.config != encoder.config or enc2.dtype != encoder.dtype:
             raise ResumeError("resume checkpoint was built for a different encoder config or dtype")
         encoder.load_state_arrays(enc2.state_arrays())
@@ -387,10 +360,7 @@ def pretrain(
             return math.nan
         total, count = 0.0, 0
         for chunk in _iter_batches(val_idx, cfg.batch_size):
-            views = _make_views(prep, chunk, cfg, bank, epoch_tag, validation=True)
-            info = BatchRiskInfo(r=np.repeat(prep.risks[chunk], 2),
-                                 m=np.repeat(prep.missing[chunk], 2),
-                                 positive_of=pairs_involution(len(chunk)))
+            views, info = _make_batch(prep, chunk, cfg, bank, epoch_tag, validation=True)
             loss = _batch_loss(encoder, views, info, cfg)
             total += loss.item() * len(chunk)
             count += len(chunk)
@@ -403,10 +373,7 @@ def pretrain(
         order = train_idx[_stream(cfg.seed, "order", epoch).permutation(len(train_idx))]
         epoch_loss, seen = 0.0, 0
         for bi, chunk in enumerate(_iter_batches(order, cfg.batch_size)):
-            views = _make_views(prep, chunk, cfg, bank, epoch)
-            info = BatchRiskInfo(r=np.repeat(prep.risks[chunk], 2),
-                                 m=np.repeat(prep.missing[chunk], 2),
-                                 positive_of=pairs_involution(len(chunk)))
+            views, info = _make_batch(prep, chunk, cfg, bank, epoch)
             with Tape() as tape:
                 loss = _batch_loss(encoder, views, info, cfg)
             value = loss.item()
@@ -481,8 +448,7 @@ class LinearHead:
 
 def preprocess_downstream(ds: DownstreamDataset) -> np.ndarray:
     """Pipeline-preprocessed signals for a downstream dataset (N, T)."""
-    out, _ = preprocess(ds.signals.astype(np.float64), fs_in=ds.fs)
-    return out.astype(np.float32)
+    return preprocess(ds.signals.astype(np.float64), fs_in=ds.fs).astype(np.float32)
 
 
 def _head_loss(z: Tensor, w: Tensor, b: Tensor, targets: np.ndarray, task: str) -> Tensor:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from riskclr.cli import main
 from riskclr.data import SyntheticConfig, generate_synthetic, save
+from riskclr.encoder import STANDARD_CONFIGS, build, save_checkpoint
 
 
 @pytest.fixture()
@@ -105,6 +107,30 @@ class TestGenData:
         result = runner.invoke(main, ["gen-data", "--config", str(cfg),
                                       "--out-dir", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args,field", [
+        (["--n-downstream", "-1"], "n_downstream"), (["--n-subjects", "-2"], "n_subjects"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_bad_synthetic_flag_exit_2(self, runner, tmp_path, args, field):
+        result = runner.invoke(main, ["gen-data", "--out-dir", str(tmp_path / "x"), *args])
+        assert result.exit_code == 2, result.output
+        assert f"{field} must be" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("section,field", [
+        ({"fs": math.nan}, "fs"), ({"duration": math.inf}, "duration"),
+        ({"optional_presence": 1.5}, "optional_presence"),
+        ({"binary_quantile": -0.5}, "binary_quantile"),
+    ])
+    def test_bad_synthetic_config_exit_2(self, runner, tmp_path, section, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic": section}))  # NaN and Infinity as Python writes them
+        result = runner.invoke(main, ["gen-data", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert f"{field} must be" in result.output
+        assert not (tmp_path / "x" / "pretrain.rds").exists()
 
     def test_config_parse_error_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -250,6 +276,40 @@ class TestPipelineCommands:
         assert "batch_size=12" in result.output and "batch_size=6" in result.output
         assert isinstance(result.exception, SystemExit)
         assert (run / "last.ckpt").read_bytes() == before
+
+    @pytest.mark.parametrize("pretrain,message", [
+        ({"mask_mode": "contiguous"}, "unknown PretrainConfig keys: ['mask_mode']"),
+        ({"loss": {"lam": -1, "normalize": True}}, "lam must be non-negative and finite"),
+        ({"loss": {"lam": 1.0, "normalize": "yes"}}, "normalize must be a bool"),
+    ])
+    def test_bad_pretrain_config_exit_2(self, runner, small_data, tmp_path, pretrain, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pretrain": pretrain}))
+        result = runner.invoke(main, ["pretrain", "--config", str(cfg), "--epochs", "1",
+                                      "--data", str(small_data / "pre.rds"),
+                                      "--run-dir", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "run" / "last.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "probe", "ablate"])
+    def test_inexact_sample_rate_exit_2(self, runner, small_data, tmp_path, command):
+        pre, down = generate_synthetic(SyntheticConfig(n_subjects=4, n_downstream=8, fs=333.3,
+                                                       duration=2.0, seed=1))
+        save(pre, tmp_path / "pre.rds")
+        save(down, tmp_path / "down.rds")
+        save_checkpoint(tmp_path / "enc.ckpt", build(STANDARD_CONFIGS["tiny"], seed=0))
+        args = {"pretrain": ["--data", str(tmp_path / "pre.rds")],
+                "probe": ["--checkpoint", str(tmp_path / "enc.ckpt"),
+                          "--data", str(tmp_path / "down.rds")],
+                "ablate": ["--pretrain-data", str(tmp_path / "pre.rds"),
+                           "--downstream-data", str(small_data / "down.rds")]}[command]
+        result = runner.invoke(main, [command, *args, "--run-dir", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        bad = "down.rds" if command == "probe" else "pre.rds"
+        assert f"{tmp_path / bad}: cannot resample 333.3 Hz to 500.0 Hz" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_probe_missing_checkpoint_exit_3(self, runner, small_data, tmp_path):
         result = runner.invoke(main, [

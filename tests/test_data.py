@@ -1,5 +1,7 @@
 """Synthetic generator properties, container round-trips, split laws."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,12 +84,26 @@ class TestGenerator:
     def test_generated_ecg_passes_preprocessing(self, small_pair):
         pre, _ = small_pair
         for leads in pre.leads[:4]:
-            _, degenerate = preprocess(leads.astype(np.float64), pre.fs)
-            assert not degenerate
+            out = preprocess(leads.astype(np.float64), pre.fs)
+            np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-6)  # no constant lead
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             SyntheticConfig(hr_coupling=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("fs", math.nan), ("fs", math.inf), ("duration", math.nan), ("duration", math.inf),
+        ("n_subjects", -1), ("n_subjects", 2.5), ("n_downstream", -1), ("n_downstream", 4.0),
+        ("seed", -3), ("seed", 1.5), ("optional_presence", 1.5), ("optional_presence", -0.1),
+        ("binary_quantile", 2.0), ("binary_quantile", math.nan), ("qt_coupling", math.nan),
+    ])
+    def test_synthetic_config_names_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SyntheticConfig(**{field: value})
+
+    def test_synthetic_config_edges_accepted(self):
+        SyntheticConfig(n_downstream=0, seed=0, optional_presence=0.0, binary_quantile=1.0,
+                        hr_coupling=0.0)
 
 
 class TestContainer:

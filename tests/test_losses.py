@@ -222,6 +222,15 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossSpec("bogus")
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("lam", {"lam": -1.0, "normalize": True}), ("lam", {"lam": math.nan}),
+        ("lam", {"lam": math.inf}), ("lam", {"lam": "1"}),
+        ("normalize", {"normalize": 1}), ("normalize", {"normalize": "yes"}),
+    ])
+    def test_loss_spec_names_bad_field(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LossSpec("w+d", **kwargs)
+
 
 class TestGradients:
     """Analytic gradients w.r.t. Z match central differences."""

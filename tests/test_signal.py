@@ -14,12 +14,12 @@ from riskclr.signal import (
     RESAMPLE_CHUNK_ROWS,
     SOSFILT_BLOCK,
     NoiseBank,
-    SignalView,
     augment,
     bandpass,
     butter_bandpass_sos,
     preprocess,
     random_mask,
+    rate_ratio,
     resample,
     sos_is_stable,
     sosfilt,
@@ -76,11 +76,7 @@ def reference_resample(signal: np.ndarray, fs_in: float, fs_out: float) -> np.nd
         full = np.convolve(stuffed, h)
         return full[half : half + t * up][::down][:out_len]
 
-    out = np.stack([one(row) for row in x.reshape(-1, t)]).reshape(*x.shape[:-1], -1)
-    if out.shape[-1] < out_len:  # a short tail repeats the last sample
-        pad = out_len - out.shape[-1]
-        out = np.concatenate([out, np.repeat(out[..., -1:], pad, axis=-1)], axis=-1)
-    return out
+    return np.stack([one(row) for row in x.reshape(-1, t)]).reshape(*x.shape[:-1], -1)
 
 
 def reference_sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -155,14 +151,11 @@ class TestBlockKernels:
         np.testing.assert_allclose(resample(x, 360, 500), reference_resample(x, 360, 500),
                                    rtol=0, atol=1e-12)
 
-    def test_resample_short_tail_repeats_last_sample(self):
-        # 500/3498.277 reduces to 1/7 under the 1000 denominator limit, so the
-        # kept outputs, ceil(t/7), fall 7 short of round(t * 500/3498.277)
-        x = np.random.default_rng(11).normal(size=100_000)
-        got = resample(x, 3498.277, 500)
-        assert got.shape == (14293,)
-        np.testing.assert_allclose(got, reference_resample(x, 3498.277, 500), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(got[-8:], np.full(8, got[-8]))
+    def test_resample_refuses_inexact_ratio(self):
+        # 500/3498.277 has no fraction with a denominator up to 1000; the
+        # closest, 1/7, would resample at another rate
+        with pytest.raises(ValueError, match=r"3498\.277 Hz to 500 Hz"):
+            resample(np.zeros(1000), 3498.277, 500)
 
     @settings(deadline=None, max_examples=60)
     @given(sos=sos_designs(),
@@ -262,6 +255,22 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(np.zeros(10), 0, 500)
 
+    @pytest.mark.parametrize("fs_in,fs_out,want", [
+        (360, 500, (25, 18)), (44100, 500, (5, 441)), (500, 250, (1, 2)), (1000.0, 1000.0, (1, 1)),
+    ])
+    def test_rate_ratio_exact(self, fs_in, fs_out, want):
+        assert rate_ratio(fs_in, fs_out) == want
+
+    @pytest.mark.parametrize("fs_in", [333.3, 3498.277, 499.9999])
+    def test_rate_ratio_refuses_inexact(self, fs_in):
+        with pytest.raises(ValueError, match=f"{fs_in!r} Hz to 500 Hz"):
+            rate_ratio(fs_in, 500)
+
+    @pytest.mark.parametrize("fs_in", [math.nan, math.inf, -250.0])
+    def test_rate_ratio_refuses_non_finite(self, fs_in):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rate_ratio(fs_in, 500)
+
 
 class TestZscore:
     def test_basic(self):
@@ -282,93 +291,104 @@ class TestZscore:
         np.testing.assert_allclose(z2, z1, atol=1e-12)
 
 
-class TestAugment:
-    def make_view(self, t=1000):
-        return SignalView(samples=np.zeros(t), fs=500.0, lead_id=3, source_id="s0")
+class _SpyBank:
+    """Delegates to a real bank and records each category drawn."""
 
+    def __init__(self, bank):
+        self.bank, self.drawn = bank, []
+
+    def draw(self, category, lead_id, length, rng):
+        self.drawn.append(category)
+        return self.bank.draw(category, lead_id, length, rng)
+
+
+def _augment_choice(spy, samples, rng, phi=0.02):
+    """(augmented copy, the choice augment made)."""
+    before = len(spy.drawn)
+    out = augment(samples, 3, spy, rng, phi=phi)
+    return out, spy.drawn[-1] if len(spy.drawn) > before else "none"
+
+
+class TestAugment:
     def test_none_choice_is_identity(self):
-        bank = NoiseBank.synthetic(seed=0, duration=5.0)
+        spy = _SpyBank(NoiseBank.synthetic(seed=0, duration=5.0))
         rng = np.random.default_rng(0)
-        view = self.make_view()
-        # find a draw landing on "none"
+        x = np.random.default_rng(1).normal(size=1000).astype(np.float32)
         for _ in range(100):
-            out = augment(view, bank, rng)
-            if out.augmentation[-1] == "none":
-                np.testing.assert_array_equal(out.samples, view.samples)
+            out, choice = _augment_choice(spy, x, rng)
+            if choice == "none":
+                assert out.dtype == np.float64 and out is not x
+                np.testing.assert_array_equal(out, x)
                 return
         pytest.fail("never drew the no-perturbation choice")
 
     def test_white_noise_intensity(self):
-        bank = NoiseBank.synthetic(seed=1, duration=30.0)
+        spy = _SpyBank(NoiseBank.synthetic(seed=1, duration=30.0))
         rng = np.random.default_rng(3)
-        view = self.make_view(t=5000)
+        x = np.zeros(5000)
         stds = []
         for _ in range(200):
-            out = augment(view, bank, rng, phi=0.02)
-            if out.augmentation[-1].startswith("white"):
-                stds.append((out.samples - view.samples).std())
+            out, choice = _augment_choice(spy, x, rng)
+            if choice == "white":
+                stds.append(out.std())
         assert stds, "white noise never drawn"
         assert np.mean(stds) == pytest.approx(0.02, rel=0.15)
 
     def test_choice_frequencies_uniform(self):
-        bank = NoiseBank.synthetic(seed=2, duration=2.0)
+        spy = _SpyBank(NoiseBank.synthetic(seed=2, duration=2.0))
         rng = np.random.default_rng(4)
-        view = self.make_view(t=16)
+        x = np.zeros(16)
         counts = {c: 0 for c in AUGMENT_CHOICES}
         n = 100_000
         for _ in range(n):
-            out = augment(view, bank, rng)
-            tag = out.augmentation[-1].split("(")[0]
-            counts[tag] += 1
+            counts[_augment_choice(spy, x, rng)[1]] += 1
         for c, k in counts.items():
             assert 0.19 <= k / n <= 0.21, f"{c}: {k / n}"
 
     def test_missing_category_rejected(self):
         bank = NoiseBank(fs=500.0, recordings={"white": np.zeros((12, 100))})
         rng = np.random.default_rng(5)
-        view = self.make_view(t=50)
         with pytest.raises(KeyError):
             for _ in range(50):
-                augment(view, bank, rng)
+                augment(np.zeros(50), 3, bank, rng)
 
-    def test_metadata_never_touched(self):
-        # augmentation only sees samples; source_id and lead pass through
+    @pytest.mark.parametrize("lead_id", [0, 13])
+    def test_lead_outside_bank_rejected(self, lead_id):
+        bank = NoiseBank(fs=500.0, recordings={c: np.zeros((12, 100)) for c in NOISE_CATEGORIES})
+        with pytest.raises(ValueError, match=f"lead_id must be in 1..12, got {lead_id}"):
+            bank.draw("white", lead_id, 50, np.random.default_rng(0))
+
+    def test_input_never_touched(self):
         bank = NoiseBank.synthetic(seed=6, duration=2.0)
-        rng = np.random.default_rng(6)
-        view = self.make_view(t=100)
-        out = random_mask(augment(view, bank, rng), rng, p=1.0)
-        assert out.source_id == view.source_id
-        assert out.lead_id == view.lead_id
+        x = np.random.default_rng(6).normal(size=100)
+        kept = x.copy()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            random_mask(augment(x, 3, bank, rng), rng, p=1.0)
+            random_mask(x, rng, p=1.0)
+        np.testing.assert_array_equal(x, kept)
 
 
 class TestRandomMask:
     def test_exact_count_on_trigger(self):
-        view = SignalView(samples=np.ones(1000), fs=500.0, lead_id=1)
-        out = random_mask(view, np.random.default_rng(0), p=1.0, frac=0.10)
-        assert int((out.samples == 0.0).sum()) == 100
+        out = random_mask(np.ones(1000), np.random.default_rng(0), p=1.0, frac=0.10)
+        assert int((out == 0.0).sum()) == 100
 
     def test_p_zero_identity(self):
-        view = SignalView(samples=np.ones(100), fs=500.0, lead_id=1)
+        x = np.ones(100)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = random_mask(view, rng, p=0.0)
-            assert out is view
+            assert random_mask(x, rng, p=0.0) is x
 
     def test_seeded_determinism(self):
-        view = SignalView(samples=np.ones(500), fs=500.0, lead_id=1)
-        a = random_mask(view, np.random.default_rng(7), p=1.0)
-        b = random_mask(view, np.random.default_rng(7), p=1.0)
-        np.testing.assert_array_equal(a.samples, b.samples)
-
-    def test_scattered_mode(self):
-        view = SignalView(samples=np.ones(1000), fs=500.0, lead_id=1)
-        out = random_mask(view, np.random.default_rng(2), p=1.0, mode="scattered")
-        assert int((out.samples == 0.0).sum()) == 100
+        x = np.ones(500)
+        a = random_mask(x, np.random.default_rng(7), p=1.0)
+        b = random_mask(x, np.random.default_rng(7), p=1.0)
+        np.testing.assert_array_equal(a, b)
 
     def test_contiguous_is_single_segment(self):
-        view = SignalView(samples=np.ones(1000), fs=500.0, lead_id=1)
-        out = random_mask(view, np.random.default_rng(3), p=1.0)
-        zero = np.flatnonzero(out.samples == 0.0)
+        out = random_mask(np.ones(1000), np.random.default_rng(3), p=1.0)
+        zero = np.flatnonzero(out == 0.0)
         assert zero[-1] - zero[0] + 1 == len(zero)
 
 
@@ -376,13 +396,19 @@ class TestPreprocessPipeline:
     def test_order_and_determinism(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=2500) + 2.0
-        a, flag_a = preprocess(x, fs_in=250.0)
-        b, flag_b = preprocess(x, fs_in=250.0)
+        a = preprocess(x, fs_in=250.0)
+        b = preprocess(x, fs_in=250.0)
         np.testing.assert_array_equal(a, b)
-        assert not flag_a and not flag_b
+        np.testing.assert_array_equal(a, zscore(bandpass(resample(x, 250.0), 500.0))[0])
         assert a.shape[-1] == 5000
         assert abs(a.mean()) < 1e-9
         assert abs(a.std() - 1.0) < 1e-6
+
+    def test_flat_row_comes_out_zeros(self):
+        x = np.stack([np.zeros(1000), np.random.default_rng(9).normal(size=1000)])
+        out = preprocess(x, fs_in=250.0)
+        np.testing.assert_array_equal(out[0], np.zeros(2000))
+        assert abs(out[1].std() - 1.0) < 1e-6
 
     def test_noise_bank_has_all_categories(self):
         bank = NoiseBank.synthetic(seed=0, duration=2.0)

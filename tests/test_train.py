@@ -158,6 +158,21 @@ class TestPretrainLoop:
                      resume_from=tmp_path / "last.ckpt")
         assert issubclass(ResumeError, ValueError)
 
+    @pytest.mark.parametrize("field,value", [("mask_mode", "scattered"), ("warmup", 5)])
+    def test_resume_refuses_a_field_this_version_lacks(self, tiny_world, tmp_path, field, value):
+        from riskclr.encoder import save_checkpoint
+        from riskclr.train import ResumeError
+
+        prep, _ = tiny_world
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=3),
+                 run_dir=tmp_path, session_epochs=1)
+        enc, extra, meta = load_checkpoint(tmp_path / "last.ckpt")
+        meta["config"][field] = value  # as an older version that had the field stored it
+        save_checkpoint(tmp_path / "old.ckpt", enc, extra=extra, meta=meta)
+        with pytest.raises(ResumeError, match=f"{field}={value!r}, a field this version does not"):
+            pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=3),
+                     resume_from=tmp_path / "old.ckpt")
+
     def test_resume_refuses_a_checkpoint_without_config(self, tiny_world, tmp_path):
         from riskclr.train import ResumeError
 
@@ -316,7 +331,7 @@ class TestProbe:
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("lr", -1.0), ("epochs", -3), ("val_fraction", 2.0), ("fixed_lead", 40),
-        ("lead_mode", "bogus"), ("dtype", "int8"), ("mask_mode", "bogus"),
+        ("lead_mode", "bogus"), ("dtype", "int8"),
         ("batch_size", 1), ("tau", 0.0), ("alpha", 1.5), ("lr", math.nan),
         ("weight_decay", -1e-5), ("patience", -1), ("mask_prob", 2.0),
         ("loss", "w+d"), ("seed", 1.5),
@@ -336,7 +351,7 @@ class TestConfigValidation:
 
     def test_defaults_and_zero_decay_accepted(self):
         PretrainConfig(weight_decay=0.0, val_fraction=0.0, lead_mode="fixed-lead",
-                       fixed_lead=12, dtype="float64", mask_mode="scattered")
+                       fixed_lead=12, dtype="float64")
         DownstreamConfig(task="regression")
 
 
