@@ -10,8 +10,12 @@ Design notes:
     channels)`` so 1x1 convolutions and dense layers map onto single BLAS
     calls.
   * Storage is float64, or float32 when the inputs are float32; reductions
-    accumulate float32 in float64. numpy's pairwise summation makes
-    reductions reproducible for a fixed thread count.
+    accumulate float32 in float64.
+  * The hot ops (``conv1d`` and ``swish``) split their batch over the
+    process's CPUs: each slice runs the same numpy calls on the same rows
+    as one worker would, and only sums across samples run in the calling
+    thread, in sample order. Results are therefore bit-identical for any
+    CPU count or affinity; they still depend on the BLAS thread count.
 
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
 then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
@@ -23,6 +27,7 @@ the op nor its VJP writes to another op's arrays in place.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Callable, Sequence
 
@@ -183,6 +188,56 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# batch slices over the process's CPUs
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = _cpu_count()
+_pool = None  # (pid, executor) of the process that built it; built on first use
+_BLOCK = 4096  # elements per slice unit of an elementwise pass
+
+
+def _parallel(n: int, fn: Callable[..., None], scratch: Callable[[], tuple] = tuple) -> None:
+    """Run ``fn(lo, hi, *scratch())`` over up to ``_WORKERS`` contiguous
+    slices of ``range(n)``; the calling thread runs the last slice itself.
+
+    ``scratch`` runs in the calling thread, once per slice, so every buffer
+    is allocated there. ``fn`` runs numpy only: no op, ``_make_out`` or tape.
+    """
+    parts = max(min(_WORKERS, n), 1)
+    bounds = [n * k // parts for k in range(parts + 1)]
+    calls = [(lo, hi, *scratch()) for lo, hi in zip(bounds, bounds[1:])]
+    if parts == 1:
+        fn(*calls[0])
+        return
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():  # a forked child builds its own
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = (os.getpid(), ThreadPoolExecutor(max(_WORKERS - 1, 1)))
+    futures = [_pool[1].submit(fn, *args) for args in calls[:-1]]
+    try:
+        fn(*calls[-1])
+    finally:
+        errors = [f.exception() for f in futures]  # waits for every slice
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _elementwise(size: int, fn: Callable[[slice], None]) -> None:
+    """Run ``fn(sl)`` over slices of ``range(size)`` that start on
+    ``_BLOCK`` boundaries; arrays under two blocks stay in one slice."""
+    _parallel(-(-size // _BLOCK), lambda lo, hi: fn(slice(lo * _BLOCK, hi * _BLOCK)))
+
+
+# ---------------------------------------------------------------------------
 # elementwise ops
 
 
@@ -259,17 +314,31 @@ def swish(a) -> Tensor:
     the VJP reads (s, y) and not the input.
     """
     a = _as_tensor(a)
-    s = _sigmoid_stable(a.data)
-    data = a.data * s
+    x = a.data.reshape(-1)
+    s = np.empty_like(x)
+    data = np.empty_like(x)
+
+    def forward(sl):
+        _sigmoid_stable(x[sl], out=s[sl])
+        np.multiply(x[sl], s[sl], out=data[sl])
+
+    _elementwise(x.size, forward)
 
     def vjp(g):
-        da = 1.0 - s
-        da *= data
-        da += s
-        da *= g
-        return [(a, da)]
+        g = g.reshape(-1)
+        da = np.empty_like(s)
 
-    return _make_out(data, (a,), vjp)
+        def slice_vjp(sl):
+            d = da[sl]
+            np.subtract(1.0, s[sl], out=d)
+            d *= data[sl]
+            d += s[sl]
+            d *= g[sl]
+
+        _elementwise(g.size, slice_vjp)
+        return [(a, da.reshape(a.data.shape))]
+
+    return _make_out(data.reshape(a.data.shape), (a,), vjp)
 
 
 def gate(h, gate) -> Tensor:
@@ -305,12 +374,12 @@ def softplus(a) -> Tensor:
     return _make_out(data, (a,), lambda g: [(a, g * _sigmoid_stable(x))])
 
 
-def _sigmoid_stable(x: Array) -> Array:
+def _sigmoid_stable(x: Array, out: Array | None = None) -> Array:
     # exp(-x) overflow for very negative x saturates to inf, giving an exact
     # 0 after the reciprocal — correct under IEEE semantics, so only the
     # warning needs suppressing. Avoids branch masks (two extra passes).
     with np.errstate(over="ignore"):
-        out = np.negative(x)
+        out = np.negative(x, out=out)
         np.exp(out, out=out)
         out += 1.0
         np.reciprocal(out, out=out)
@@ -426,48 +495,89 @@ def _same_padding(length: int, kernel: int, stride: int) -> tuple[int, int, int]
     return out_len, left, pad_total - left
 
 
-def _im2col(xp_row: Array, kernel: int, stride: int, out_len: int) -> Array:
-    """(L_pad, C) -> (out_len, K*C) column matrix for one sample (cache-sized)."""
-    win = np.lib.stride_tricks.sliding_window_view(xp_row, kernel, axis=0)  # (L', C, K)
-    if stride > 1:
-        win = win[::stride]
-    return np.ascontiguousarray(win[:out_len].transpose(0, 2, 1)).reshape(out_len, -1)
+def _im2col_scratch(row_len: int, c: int, kernel: int, stride: int, at: int,
+                    start: int, count: int, dtype) -> tuple[Callable[[Array], Array]]:
+    """One slice's scratch: a zero row (row_len, c) and a (count, kernel*c)
+    column matrix, allocated by the caller.
+
+    The returned ``cols_of(sample)`` copies ``sample`` into the row at offset
+    ``at`` (the zeros around it are the padding) and returns the columns of
+    the ``count`` windows that start at ``start``, ``start + stride``, ...
+    The window view is built once per buffer, not once per sample.
+    """
+    row = np.zeros((row_len, c), dtype=dtype)
+    cols = np.empty((count, kernel * c), dtype=dtype)
+    win = np.lib.stride_tricks.sliding_window_view(row, kernel, axis=0)  # (L', c, K)
+    win = win[start : start + (count - 1) * stride + 1 : stride].transpose(0, 2, 1)
+    cols3 = cols.reshape(count, kernel, c)
+
+    def cols_of(sample: Array) -> Array:
+        row[at : at + len(sample)] = sample
+        np.copyto(cols3, win)
+        return cols
+
+    return (cols_of,)
 
 
-def _conv1d_input_grad(g: Array, w2: Array, xp_shape, kernel: int, stride: int,
-                       pad_l: int, length: int) -> Array:
+def _channel_sum(g: Array) -> Array:
+    """Sum of ``g`` (..., C) over all but the last axis, accumulated in
+    float64: (N, C) is viewed as wide rows (N/R, R*C) with R*C about 512,
+    summed down, and the R groups folded, then the N % R rows left over
+    added."""
+    c = g.shape[-1]
+    flat = g.reshape(-1, c)
+    r = max(512 // c, 1)
+    m = flat.shape[0] // r
+    acc = flat[: m * r].reshape(m, r * c).sum(axis=0, dtype=np.float64).reshape(r, c).sum(axis=0)
+    acc += flat[m * r :].sum(axis=0, dtype=np.float64)
+    return acc.astype(g.dtype)
+
+
+def _conv1d_input_grad(g: Array, w2: Array, kernel: int, stride: int, length: int) -> Array:
     """d(loss)/d(x) for conv1d from the output gradient ``g`` (B, out_len,
     C_out) and the dense (K*C_in, C_out) weight ``w2``.
 
-    kernel 1 and stride 1: one GEMM over all samples. Other stride 1: the
+    kernel 1 and stride 1: one GEMM per slice of samples. Other stride 1: the
     adjoint is itself a correlation ("full" conv of the output gradient with
-    the flipped kernel), run as one im2col GEMM per sample. stride > 1 falls
-    back to strided scatter-adds.
+    the flipped kernel), run as one im2col GEMM per sample over the rows of
+    ``x``. stride > 1 falls back to strided scatter-adds into a padded row.
     """
     batch, out_len, c_out = g.shape
     c_in = w2.shape[0] // kernel
+    _, pad_l, pad_r = _same_padding(length, kernel, stride)
+    dx = np.empty((batch, length, c_in), dtype=g.dtype)
     if kernel == 1 and stride == 1:
-        return (g.reshape(-1, c_out) @ w2.T).reshape(batch, length, c_in)
-    if stride == 1:
+        def rows(lo, hi):
+            np.matmul(g[lo:hi].reshape(-1, c_out), w2.T, out=dx[lo:hi].reshape(-1, c_in))
+
+        _parallel(batch, rows)
+    elif stride == 1:
         # w2 rows are ordered (k, c_in); flip k and swap to (k, c_out) rows
         wf = np.ascontiguousarray(
             w2.reshape(kernel, c_in, c_out)[::-1].transpose(0, 2, 1)
         ).reshape(kernel * c_out, c_in)
-        gp = np.pad(g, ((0, 0), (kernel - 1, kernel - 1), (0, 0)))
-        n_xp = xp_shape[1]
-        dxp = np.empty((batch, n_xp, c_in), dtype=g.dtype)
-        for i in range(batch):
-            np.matmul(_im2col(gp[i], kernel, 1, n_xp), wf, out=dxp[i])
+
+        def correlate(lo, hi, cols_of):
+            for i in range(lo, hi):
+                np.matmul(cols_of(g[i]), wf, out=dx[i])
+
+        _parallel(batch, correlate, lambda: _im2col_scratch(
+            out_len + 2 * (kernel - 1), c_out, kernel, 1, kernel - 1, pad_l, length, g.dtype))
     else:
-        dxp = np.zeros(xp_shape, dtype=g.dtype)
         span = (out_len - 1) * stride + 1
-        for i in range(batch):
-            dcol = (g[i] @ w2.T).reshape(out_len, kernel, c_in)
-            for k in range(kernel):
-                dxp[i, k : k + span : stride] += dcol[:, k, :]
-    if dxp.shape[1] != length:
-        dxp = dxp[:, pad_l : pad_l + length, :]
-    return dxp
+
+        def scatter(lo, hi, row, dcol):
+            dcol3 = dcol.reshape(out_len, kernel, c_in)
+            for i in range(lo, hi):
+                row.fill(0)
+                np.matmul(g[i], w2.T, out=dcol)
+                for k in range(kernel):
+                    row[k : k + span : stride] += dcol3[:, k, :]
+                dx[i] = row[pad_l : pad_l + length]
+
+        _parallel(batch, scatter, lambda: (np.empty((length + pad_l + pad_r, c_in), dtype=g.dtype),
+                                           np.empty((out_len, kernel * c_in), dtype=g.dtype)))
+    return dx
 
 
 def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
@@ -478,9 +588,13 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     Output channel block ``o`` in group ``o // (C_out/groups)`` sees only its
     group's input channels.
 
-    The grouped kernel runs as a dense GEMM with a block-diagonal weight;
-    column matrices are built per sample so they stay cache-resident (one
-    shared buffer would be re-streamed from much slower main memory).
+    The grouped kernel runs as a dense GEMM with a block-diagonal weight.
+    Forward, weight VJP and input VJP split the batch over the process's
+    CPUs (see ``_parallel``). Each sample is padded into a scratch row and
+    its column matrix built there, so it stays cache-resident and no padded
+    copy of the batch exists; 1x1 convs run one GEMM per slice of samples.
+    Per-sample weight products are summed in sample order by the calling
+    thread, so every result is bit-identical for any CPU count.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -493,37 +607,60 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
         raise AutodiffError(f"weight expects {c_in // groups} channels per group, got {c_in_g}")
 
     out_len, pad_l, pad_r = _same_padding(length, kernel, stride)
-    xp = np.pad(x.data, ((0, 0), (pad_l, pad_r), (0, 0))) if pad_l or pad_r else x.data
+    xd = x.data
     wd = _expand_grouped(w.data, c_in, c_out, groups)
     w2 = np.ascontiguousarray(wd.reshape(kernel * c_in, c_out))
     pointwise = kernel == 1 and stride == 1
-
-    data = np.empty((batch, out_len, c_out), dtype=x.data.dtype)
-    if pointwise:
-        np.matmul(xp.reshape(-1, c_in), w2, out=data.reshape(-1, c_out))
-    else:
-        for i in range(batch):
-            np.matmul(_im2col(xp[i], kernel, stride, out_len), w2, out=data[i])
     inputs = [x, w]
+    bias = None
     if b is not None:
         b = _as_tensor(b)
-        data += b.data
+        bias = b.data
         inputs.append(b)
+
+    def im2col():
+        return _im2col_scratch(length + pad_l + pad_r, c_in, kernel, stride, pad_l, 0, out_len,
+                               xd.dtype)
+
+    data = np.empty((batch, out_len, c_out), dtype=xd.dtype)
+    if pointwise:
+        def forward(lo, hi):
+            out = data[lo:hi].reshape(-1, c_out)
+            np.matmul(xd[lo:hi].reshape(-1, c_in), w2, out=out)
+            if bias is not None:
+                out += bias
+
+        _parallel(batch, forward)
+    else:
+        def forward(lo, hi, cols_of):
+            for i in range(lo, hi):
+                np.matmul(cols_of(xd[i]), w2, out=data[i])
+                if bias is not None:
+                    data[i] += bias
+
+        _parallel(batch, forward, im2col)
 
     def vjp(g):
         pairs = []
         if w.requires_grad:
             if pointwise:
-                dw2 = xp.reshape(-1, c_in).T @ g.reshape(-1, c_out)
+                dw2 = xd.reshape(-1, c_in).T @ g.reshape(-1, c_out)
             else:
+                products = np.empty((batch,) + w2.shape, dtype=np.result_type(xd, g))
+
+                def weight_products(lo, hi, cols_of):
+                    for i in range(lo, hi):
+                        np.matmul(cols_of(xd[i]).T, g[i], out=products[i])
+
+                _parallel(batch, weight_products, im2col)
                 dw2 = np.zeros_like(w2)
-                for i in range(batch):
-                    dw2 += _im2col(xp[i], kernel, stride, out_len).T @ g[i]
+                for p in products:
+                    dw2 += p
             pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
         if x.requires_grad:
-            pairs.append((x, _conv1d_input_grad(g, w2, xp.shape, kernel, stride, pad_l, length)))
+            pairs.append((x, _conv1d_input_grad(g, w2, kernel, stride, length)))
         if b is not None and b.requires_grad:
-            pairs.append((b, g.sum(axis=(0, 1), dtype=np.float64).astype(g.dtype)))
+            pairs.append((b, _channel_sum(g)))
         return pairs
 
     return _make_out(data, inputs, vjp)

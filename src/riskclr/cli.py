@@ -157,6 +157,7 @@ def gen_data_cmd(config_path, out_dir, n_subjects, n_downstream, seed):
 
 def _load_dataset(path: str, kind):
     from riskclr import data as data_mod
+    from riskclr.encoder import STEM_KERNEL
     from riskclr.signal import TARGET_FS, rate_ratio
 
     p = Path(path)
@@ -176,6 +177,11 @@ def _load_dataset(path: str, kind):
         rate_ratio(ds.fs, TARGET_FS)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}", EXIT_CONFIG)
+    t = (ds.leads if isinstance(ds, data_mod.Dataset) else ds.signals).shape[-1]
+    if round(t * TARGET_FS / ds.fs) < STEM_KERNEL:
+        raise CliError(f"{path}: signals of {t} samples at {ds.fs:g} Hz are shorter than the "
+                       f"encoder's {STEM_KERNEL}-sample stem kernel at {TARGET_FS:g} Hz",
+                       EXIT_CONFIG)
     return ds
 
 

@@ -76,8 +76,8 @@ class Dataset(_Columns):
 
     def __post_init__(self):
         self.leads = np.asarray(self.leads, dtype=np.float32)
-        if self.leads.ndim != 3 or self.leads.shape[1] != 12:
-            raise ValueError(f"leads must be (n, 12, t), got shape {self.leads.shape}")
+        if self.leads.ndim != 3 or self.leads.shape[1] != 12 or self.leads.shape[2] < 1:
+            raise ValueError(f"leads must be (n, 12, t) with t >= 1, got shape {self.leads.shape}")
         self._check_columns(len(self.leads), subject_ids=None, metadata=None)
 
 
@@ -94,8 +94,8 @@ class DownstreamDataset(_Columns):
 
     def __post_init__(self):
         self.signals = np.asarray(self.signals, dtype=np.float32)
-        if self.signals.ndim != 2:
-            raise ValueError(f"signals must be (n, t), got shape {self.signals.shape}")
+        if self.signals.ndim != 2 or self.signals.shape[1] < 1:
+            raise ValueError(f"signals must be (n, t) with t >= 1, got shape {self.signals.shape}")
         self._check_columns(len(self.signals), subject_ids=None, lead_id=np.int64,
                             label_real=np.float64, label_binary=np.int64)
 
@@ -129,6 +129,9 @@ class SyntheticConfig:
             duration=POSITIVE, optional_presence=UNIT, hr_coupling=NON_NEGATIVE,
             t_amp_coupling=NON_NEGATIVE, noise_coupling=NON_NEGATIVE,
             qt_coupling=NON_NEGATIVE, binary_quantile=UNIT, seed=integer(0))
+        if int(self.duration * self.fs) < 1:
+            raise ValueError(f"duration * fs must give at least one sample, got duration "
+                             f"{self.duration!r} s at fs {self.fs!r} Hz")
 
     def null_variant(self) -> "SyntheticConfig":
         """Same sizes, all risk-to-morphology couplings switched off."""

@@ -10,8 +10,9 @@ in play, the positive's weight is 0, so the positive term drops out of the
 denominator; that makes negative loss values possible and they are not
 clamped.
 
-Reductions rely on numpy's pairwise summation, so values are reproducible
-for a fixed thread count.
+Values are bit-identical for any CPU count or affinity: the encoder ops that
+split a batch over the CPUs keep every sum in sample order (see
+``autodiff``). The BLAS thread count is still a condition.
 """
 
 from __future__ import annotations

@@ -1,6 +1,14 @@
-"""Adjoint correctness for every op, plus tape semantics."""
+"""Adjoint correctness for every op, tape semantics, and bit-identical
+results for any number of batch slices."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +342,156 @@ class TestGradCheckHarness:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             grad_check(lambda t: ad.mean(t), [np.ones(2)], eps=0.0)
+
+
+def _op_and_grads(op, arrays, upstream):
+    """Output and every input's gradient of ``op`` under the loss sum(op * upstream)."""
+    leaves = [ad.parameter(a.copy()) for a in arrays]
+    with Tape() as tape:
+        out = op(*leaves)
+        loss = ad.sum_(ad.mul(out, upstream))
+    tape.backward(loss)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+class TestWorkerCount:
+    """conv1d and swish give the same bits whatever the number of batch slices."""
+
+    CONVS = {  # name: (x shape, w shape, stride, groups)
+        "pointwise": ((5, 37, 6), (1, 6, 4), 1, 1),
+        "grouped": ((5, 37, 8), (16, 2, 8), 1, 4),
+        "strided-stem": ((5, 41, 1), (16, 1, 4), 2, 1),
+    }
+
+    @staticmethod
+    def _across_workers(monkeypatch, op, arrays, upstream):
+        runs = []
+        for workers in (1, 2, 3):  # 3 slices an odd batch of 5 unevenly
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            runs.append(_op_and_grads(op, arrays, upstream))
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("name", sorted(CONVS))
+    def test_conv1d(self, monkeypatch, name, bias, dtype):
+        x_shape, w_shape, stride, groups = self.CONVS[name]
+        rng = np.random.default_rng(7)
+        arrays = [rng.normal(size=x_shape).astype(dtype), rng.normal(size=w_shape).astype(dtype)]
+        if bias:
+            arrays.append(rng.normal(size=w_shape[-1:]).astype(dtype))
+        out_len = -(-x_shape[1] // stride)
+        upstream = rng.normal(size=(x_shape[0], out_len, w_shape[-1])).astype(dtype)
+
+        def op(*t):
+            return ad.conv1d(*t, stride=stride, groups=groups)
+
+        self._across_workers(monkeypatch, op, arrays, upstream)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 3001, 3), (5, 7)])  # many blocks; under one block
+    def test_swish(self, monkeypatch, shape, dtype):
+        rng = np.random.default_rng(8)
+        x = (rng.normal(size=shape) * 40).astype(dtype)  # saturates both tails too
+        upstream = rng.normal(size=shape).astype(dtype)
+        self._across_workers(monkeypatch, ad.swish, [x], upstream)
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 40_000])
+    def test_bias_grad_is_the_float64_channel_sum(self, rows):
+        g = np.random.default_rng(rows).normal(size=(rows, 16)).astype(np.float32)
+        expected = g.sum(axis=0, dtype=np.float64).astype(np.float32)
+        assert np.array_equal(ad._channel_sum(g.reshape(1, rows, 16)), expected)
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 3)  # more slices than this host may have cores
+        rng = np.random.default_rng(10)
+        arrays = [rng.normal(size=(7, 300, 8)).astype(np.float32),
+                  rng.normal(size=(16, 2, 8)).astype(np.float32)]
+        upstream = rng.normal(size=(7, 300, 8)).astype(np.float32)
+
+        def op(x, w):
+            return ad.swish(ad.conv1d(x, w, groups=4))
+
+        expected = _op_and_grads(op, arrays, upstream)
+        results = [None] * 4
+
+        def caller(k):
+            results[k] = [_op_and_grads(op, arrays, upstream) for _ in range(5)]
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for runs in results:
+            for run in runs:
+                assert all(np.array_equal(a, b) for a, b in zip(expected, run))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(6, 40, 4)).astype(np.float32))
+        w = Tensor(rng.normal(size=(16, 4, 4)).astype(np.float32))
+        expected = ad.conv1d(x, w).data  # the parent's pool now exists
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = np.array_equal(ad.conv1d(x, w).data, expected)
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.05)
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("forked child did not finish conv1d within 60 s")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and at least two CPUs")
+    def test_pretrain_on_one_cpu_matches_all_cpus(self, tmp_path):
+        from riskclr.data import SyntheticConfig, generate_synthetic, save
+        from riskclr.encoder import load_checkpoint
+
+        pre, _ = generate_synthetic(SyntheticConfig(n_subjects=12, n_downstream=0, duration=4.0,
+                                                    seed=3))
+        save(pre, tmp_path / "pre.rds")
+        # affinity first: the worker count is read when riskclr.autodiff loads
+        code = textwrap.dedent("""
+            import os, sys
+            if sys.argv[1] == "one":
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            from riskclr import autodiff
+            from riskclr.cli import main
+            assert autodiff._WORKERS == (1 if sys.argv[1] == "one" else len(os.sched_getaffinity(0)))
+            main(sys.argv[2:])
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        runs = {}
+        for cpus in ("one", "all"):
+            run = tmp_path / cpus
+            proc = subprocess.run(
+                [sys.executable, "-c", code, cpus, "pretrain", "--data", str(tmp_path / "pre.rds"),
+                 "--run-dir", str(run), "--epochs", "1", "--batch-size", "8"],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            params = load_checkpoint(run / "last.ckpt")[0].state_arrays()
+            runs[cpus] = ((run / "metrics.csv").read_bytes(),
+                          {k: v.tobytes() for k, v in params.items()})
+        assert runs["one"] == runs["all"]

@@ -132,6 +132,15 @@ class TestGenData:
         assert f"{field} must be" in result.output
         assert not (tmp_path / "x" / "pretrain.rds").exists()
 
+    def test_under_one_sample_duration_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synthetic": {"duration": 0.001}}))
+        result = runner.invoke(main, ["gen-data", "--config", str(cfg), "--n-subjects", "2",
+                                      "--n-downstream", "2", "--out-dir", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert "duration * fs must give at least one sample" in result.output
+        assert not (tmp_path / "x" / "pretrain.rds").exists()
+
     def test_config_parse_error_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -309,6 +318,24 @@ class TestPipelineCommands:
         assert result.exit_code == 2, result.output
         bad = "down.rds" if command == "probe" else "pre.rds"
         assert f"{tmp_path / bad}: cannot resample 333.3 Hz to 500.0 Hz" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["pretrain", "probe"])
+    def test_signal_shorter_than_stem_kernel_exit_2(self, runner, tmp_path, command):
+        # 0.02 s at 250 Hz: 5 samples, 10 at 500 Hz, under the 16-sample stem kernel
+        pre, down = generate_synthetic(SyntheticConfig(n_subjects=2, n_downstream=4,
+                                                       duration=0.02, seed=1))
+        save(pre, tmp_path / "pre.rds")
+        save(down, tmp_path / "down.rds")
+        save_checkpoint(tmp_path / "enc.ckpt", build(STANDARD_CONFIGS["tiny"], seed=0))
+        args = {"pretrain": ["--data", str(tmp_path / "pre.rds"), "--epochs", "1"],
+                "probe": ["--checkpoint", str(tmp_path / "enc.ckpt"),
+                          "--data", str(tmp_path / "down.rds")]}[command]
+        result = runner.invoke(main, [command, *args, "--run-dir", str(tmp_path / "run")])
+        assert result.exit_code == 2, result.output
+        bad = "down.rds" if command == "probe" else "pre.rds"
+        assert (f"{tmp_path / bad}: signals of 5 samples at 250 Hz are shorter than the "
+                "encoder's 16-sample stem kernel") in result.output
         assert isinstance(result.exception, SystemExit)
 
     def test_probe_missing_checkpoint_exit_3(self, runner, small_data, tmp_path):

@@ -105,6 +105,14 @@ class TestGenerator:
         SyntheticConfig(n_downstream=0, seed=0, optional_presence=0.0, binary_quantile=1.0,
                         hr_coupling=0.0)
 
+    @pytest.mark.parametrize("duration,fs", [(0.001, 250.0), (0.5, 1.5), (1e-9, 500.0)])
+    def test_synthetic_config_refuses_under_one_sample(self, duration, fs):
+        with pytest.raises(ValueError, match="duration \\* fs must give at least one sample"):
+            SyntheticConfig(duration=duration, fs=fs)
+
+    def test_synthetic_config_one_sample_accepted(self):
+        SyntheticConfig(duration=0.004, fs=250.0)
+
 
 class TestContainer:
     def test_pretrain_roundtrip(self, small_pair, tmp_path):
@@ -236,6 +244,13 @@ class TestColumns:
     def test_downstream_signals_must_be_2d(self):
         with pytest.raises(ValueError, match=r"signals must be \(n, t\)"):
             DownstreamDataset(np.zeros(8), 250.0, ["a"], [1], [0.1], [0])
+
+    def test_zero_length_signals_rejected(self):
+        ds = _dummy_dataset(2)
+        with pytest.raises(ValueError, match=r"leads must be \(n, 12, t\) with t >= 1"):
+            Dataset(np.zeros((2, 12, 0), dtype=np.float32), ds.fs, ds.subject_ids, ds.metadata)
+        with pytest.raises(ValueError, match=r"signals must be \(n, t\) with t >= 1"):
+            DownstreamDataset(np.zeros((1, 0)), 250.0, ["a"], [1], [0.1], [0])
 
     @pytest.mark.parametrize("fs", [0.0, -250.0, float("nan"), float("inf")])
     def test_bad_sample_rate_rejected(self, fs):
