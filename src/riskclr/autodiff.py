@@ -15,7 +15,8 @@ Design notes:
     process's CPUs: each slice runs the same numpy calls on the same rows
     as one worker would, and only sums across samples run in the calling
     thread, in sample order. Results are therefore bit-identical for any
-    CPU count or affinity; they still depend on the BLAS thread count.
+    CPU count, provided the BLAS thread count is fixed: OpenBLAS sizes its
+    own pool from the CPU affinity unless OPENBLAS_NUM_THREADS is set.
 
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
 then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
@@ -201,18 +202,21 @@ def _cpu_count() -> int:
 _WORKERS = _cpu_count()
 _pool = None  # (pid, executor) of the process that built it; built on first use
 _BLOCK = 4096  # elements per slice unit of an elementwise pass
+_PRODUCTS_BYTES = 16 << 20  # weight-VJP products held at once (at least _WORKERS of them)
 
 
-def _parallel(n: int, fn: Callable[..., None], scratch: Callable[[], tuple] = tuple) -> None:
-    """Run ``fn(lo, hi, *scratch())`` over up to ``_WORKERS`` contiguous
-    slices of ``range(n)``; the calling thread runs the last slice itself.
+def _parallel(n: int, fn: Callable[..., None], scratch: Callable[[], object] | None = None) -> None:
+    """Run ``fn(lo, hi)`` over up to ``_WORKERS`` contiguous slices of
+    ``range(n)``; the calling thread runs the last slice itself.
 
-    ``scratch`` runs in the calling thread, once per slice, so every buffer
-    is allocated there. ``fn`` runs numpy only: no op, ``_make_out`` or tape.
+    With ``scratch``, each slice runs ``fn(lo, hi, scratch())``: ``scratch``
+    runs in the calling thread, once per slice, so every buffer is allocated
+    there. ``fn`` runs numpy only: no op, ``_make_out`` or tape.
     """
     parts = max(min(_WORKERS, n), 1)
     bounds = [n * k // parts for k in range(parts + 1)]
-    calls = [(lo, hi, *scratch()) for lo, hi in zip(bounds, bounds[1:])]
+    calls = [(lo, hi) if scratch is None else (lo, hi, scratch())
+             for lo, hi in zip(bounds, bounds[1:])]
     if parts == 1:
         fn(*calls[0])
         return
@@ -221,14 +225,24 @@ def _parallel(n: int, fn: Callable[..., None], scratch: Callable[[], tuple] = tu
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = (os.getpid(), ThreadPoolExecutor(max(_WORKERS - 1, 1)))
-    futures = [_pool[1].submit(fn, *args) for args in calls[:-1]]
+    # A finished slice's work item can outlive this call in the pool thread;
+    # it holds only `job`, which is emptied here, so `fn`, its arrays and the
+    # scratch are always released by the calling thread, at a fixed point.
+    job = [fn, calls]
+    futures = [_pool[1].submit(_run_slice, job, k) for k in range(parts - 1)]
     try:
         fn(*calls[-1])
     finally:
         errors = [f.exception() for f in futures]  # waits for every slice
+        job.clear()
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def _run_slice(job: list, k: int) -> None:
+    fn, calls = job
+    fn(*calls[k])
 
 
 def _elementwise(size: int, fn: Callable[[slice], None]) -> None:
@@ -496,7 +510,7 @@ def _same_padding(length: int, kernel: int, stride: int) -> tuple[int, int, int]
 
 
 def _im2col_scratch(row_len: int, c: int, kernel: int, stride: int, at: int,
-                    start: int, count: int, dtype) -> tuple[Callable[[Array], Array]]:
+                    start: int, count: int, dtype) -> Callable[[Array], Array]:
     """One slice's scratch: a zero row (row_len, c) and a (count, kernel*c)
     column matrix, allocated by the caller.
 
@@ -516,7 +530,7 @@ def _im2col_scratch(row_len: int, c: int, kernel: int, stride: int, at: int,
         np.copyto(cols3, win)
         return cols
 
-    return (cols_of,)
+    return cols_of
 
 
 def _channel_sum(g: Array) -> Array:
@@ -531,6 +545,34 @@ def _channel_sum(g: Array) -> Array:
     acc = flat[: m * r].reshape(m, r * c).sum(axis=0, dtype=np.float64).reshape(r, c).sum(axis=0)
     acc += flat[m * r :].sum(axis=0, dtype=np.float64)
     return acc.astype(g.dtype)
+
+
+def _conv1d_weight_grad(xd: Array, g: Array, w2: Array, im2col: Callable[[], Callable]) -> Array:
+    """d(loss)/d(w2) for a conv1d that is not 1x1: the sum over samples of
+    ``cols_i.T @ g_i``, with ``im2col()`` allocating one slice's scratch.
+
+    The batch runs in rounds: the slices write each sample's product, then
+    the calling thread adds them in sample order. The products buffer holds
+    at least ``_WORKERS`` of them and otherwise stays under
+    ``_PRODUCTS_BYTES``, whatever the batch size.
+    """
+    batch = len(xd)
+    dtype = np.result_type(xd, g)
+    step = max(_WORKERS, _PRODUCTS_BYTES // (w2.size * dtype.itemsize))
+    products = np.empty((min(step, batch),) + w2.shape, dtype=dtype)
+    buffers = [im2col() for _ in range(min(_WORKERS, len(products)))]
+    dw2 = np.zeros_like(w2)
+    for start in range(0, batch, step):
+        count = min(step, batch - start)
+
+        def weight_products(lo, hi, cols_of, start=start):
+            for i in range(lo, hi):
+                np.matmul(cols_of(xd[start + i]).T, g[start + i], out=products[i])
+
+        _parallel(count, weight_products, iter(buffers).__next__)  # reused each round
+        for p in products[:count]:
+            dw2 += p
+    return dw2
 
 
 def _conv1d_input_grad(g: Array, w2: Array, kernel: int, stride: int, length: int) -> Array:
@@ -566,7 +608,8 @@ def _conv1d_input_grad(g: Array, w2: Array, kernel: int, stride: int, length: in
     else:
         span = (out_len - 1) * stride + 1
 
-        def scatter(lo, hi, row, dcol):
+        def scatter(lo, hi, buffers):
+            row, dcol = buffers
             dcol3 = dcol.reshape(out_len, kernel, c_in)
             for i in range(lo, hi):
                 row.fill(0)
@@ -594,7 +637,8 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     its column matrix built there, so it stays cache-resident and no padded
     copy of the batch exists; 1x1 convs run one GEMM per slice of samples.
     Per-sample weight products are summed in sample order by the calling
-    thread, so every result is bit-identical for any CPU count.
+    thread, a bounded round of samples at a time, so every result is
+    bit-identical for any CPU count (at a fixed BLAS thread count).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -646,16 +690,7 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
             if pointwise:
                 dw2 = xd.reshape(-1, c_in).T @ g.reshape(-1, c_out)
             else:
-                products = np.empty((batch,) + w2.shape, dtype=np.result_type(xd, g))
-
-                def weight_products(lo, hi, cols_of):
-                    for i in range(lo, hi):
-                        np.matmul(cols_of(xd[i]).T, g[i], out=products[i])
-
-                _parallel(batch, weight_products, im2col)
-                dw2 = np.zeros_like(w2)
-                for p in products:
-                    dw2 += p
+                dw2 = _conv1d_weight_grad(xd, g, w2, im2col)
             pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
         if x.requires_grad:
             pairs.append((x, _conv1d_input_grad(g, w2, kernel, stride, length)))

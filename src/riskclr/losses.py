@@ -10,9 +10,10 @@ in play, the positive's weight is 0, so the positive term drops out of the
 denominator; that makes negative loss values possible and they are not
 clamped.
 
-Values are bit-identical for any CPU count or affinity: the encoder ops that
-split a batch over the CPUs keep every sum in sample order (see
-``autodiff``). The BLAS thread count is still a condition.
+Values are bit-identical for any CPU count or affinity at a fixed BLAS
+thread count: the encoder ops that split a batch over the CPUs keep every sum
+in sample order (see ``autodiff``). OpenBLAS sizes its own pool from the
+affinity unless OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Adjoint correctness for every op, tape semantics, and bit-identical
 results for any number of batch slices."""
 
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -367,8 +369,10 @@ class TestWorkerCount:
     def _across_workers(monkeypatch, op, arrays, upstream):
         runs = []
         for workers in (1, 2, 3):  # 3 slices an odd batch of 5 unevenly
-            monkeypatch.setattr(ad, "_WORKERS", workers)
-            runs.append(_op_and_grads(op, arrays, upstream))
+            for products_bytes in (ad._PRODUCTS_BYTES, 0):  # 0: weight-VJP rounds of `workers`
+                monkeypatch.setattr(ad, "_WORKERS", workers)
+                monkeypatch.setattr(ad, "_PRODUCTS_BYTES", products_bytes)
+                runs.append(_op_and_grads(op, arrays, upstream))
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -404,6 +408,41 @@ class TestWorkerCount:
         expected = g.sum(axis=0, dtype=np.float64).astype(np.float32)
         assert np.array_equal(ad._channel_sum(g.reshape(1, rows, 16)), expected)
 
+    @pytest.mark.parametrize("channels", [1, 8, 48, 600])  # 48: 10 groups of 480; 600: one group
+    @pytest.mark.parametrize("rows", [1, 33, 5001])
+    def test_bias_grad_float64_is_near_the_exact_sum(self, rows, channels):
+        g = np.random.default_rng(rows * channels).normal(size=(rows, channels))
+        exact = np.array([math.fsum(column) for column in g.T])
+        got = ad._channel_sum(g.reshape(1, rows, channels))
+        assert got.dtype == np.float64 and got.shape == (channels,)
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14 * np.abs(g).sum(axis=0).max())
+
+    @staticmethod
+    def _weight_vjp_peak(batch: int) -> int:
+        """Peak bytes traced while the weight VJP of a 16-tap conv whose
+        per-sample product (1024, 64) float64 is 512 KiB runs on a batch."""
+        rng = np.random.default_rng(batch)
+        x = Tensor(rng.normal(size=(batch, 8, 64)))
+        w = ad.parameter(rng.normal(size=(16, 64, 64)))
+        with Tape() as tape:
+            loss = ad.sum_(ad.conv1d(x, w))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_weight_products_do_not_grow_with_the_batch(self, monkeypatch):
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        product = 16 * 64 * 64 * 8
+        # 64 samples hold 32 MiB of products at once if nothing bounds them;
+        # the batch's own arrays grow by 60 * 4 KiB from 4 samples to 64
+        monkeypatch.setattr(ad, "_PRODUCTS_BYTES", 0)  # rounds of _WORKERS samples
+        assert self._weight_vjp_peak(64) - self._weight_vjp_peak(4) < 2 * product
+        monkeypatch.setattr(ad, "_PRODUCTS_BYTES", 4 * product)  # rounds of 4 samples
+        assert self._weight_vjp_peak(64) < 8 * product  # 4 products, weights, scratch, g
+
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 3)  # more slices than this host may have cores
         rng = np.random.default_rng(10)
@@ -434,6 +473,43 @@ class TestWorkerCount:
         for runs in results:
             for run in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(expected, run))
+
+    def test_slices_are_released_by_the_calling_thread(self, monkeypatch):
+        """A pool thread may keep a finished work item for a while; the
+        slice's function and scratch must not depend on it to be freed."""
+        from concurrent.futures import Future
+
+        class KeepingPool:  # runs each slice at once and keeps what it was given
+            def __init__(self):
+                self.kept = []
+
+            def submit(self, fn, *args):
+                self.kept.append((fn, args))
+                fn(*args)
+                done = Future()
+                done.set_result(None)
+                return done
+
+        class Scratch:
+            pass
+
+        monkeypatch.setattr(ad, "_WORKERS", 3)
+        pool = KeepingPool()
+        monkeypatch.setattr(ad, "_pool", (os.getpid(), pool))
+        made = []
+
+        def scratch():
+            made.append(Scratch())
+            return made[-1]
+
+        def fn(lo, hi, buffer):
+            assert isinstance(buffer, Scratch)
+
+        ad._parallel(3, fn, scratch)
+        assert len(pool.kept) == 2 and len(made) == 3
+        refs = [weakref.ref(obj) for obj in made] + [weakref.ref(fn)]
+        del made, fn
+        assert all(ref() is None for ref in refs)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
