@@ -502,24 +502,18 @@ def row_l2_normalize(a) -> Tensor:
 # convolution
 
 
-def _same_padding(length: int, kernel: int, stride: int) -> tuple[int, int, int]:
-    out_len = -(-length // stride)  # ceil
-    pad_total = max((out_len - 1) * stride + kernel - length, 0)
-    left = pad_total // 2
-    return out_len, left, pad_total - left
-
-
-def _im2col_scratch(row_len: int, c: int, kernel: int, stride: int, at: int,
-                    start: int, count: int, dtype) -> Callable[[Array], Array]:
-    """One slice's scratch: a zero row (row_len, c) and a (count, kernel*c)
-    column matrix, allocated by the caller.
+def _im2col_scratch(n: int, c: int, kernel: int, stride: int, at: int, start: int,
+                    count: int, dtype) -> Callable[[Array], Array]:
+    """One slice's scratch for samples of ``n`` rows of ``c`` channels: a
+    zero row and a (count, kernel*c) column matrix, allocated by the caller.
 
     The returned ``cols_of(sample)`` copies ``sample`` into the row at offset
     ``at`` (the zeros around it are the padding) and returns the columns of
     the ``count`` windows that start at ``start``, ``start + stride``, ...
-    The window view is built once per buffer, not once per sample.
+    The row is just long enough for the sample and the last window. The
+    window view is built once per buffer, not once per sample.
     """
-    row = np.zeros((row_len, c), dtype=dtype)
+    row = np.zeros((max(at + n, start + (count - 1) * stride + kernel), c), dtype=dtype)
     cols = np.empty((count, kernel * c), dtype=dtype)
     win = np.lib.stride_tricks.sliding_window_view(row, kernel, axis=0)  # (L', c, K)
     win = win[start : start + (count - 1) * stride + 1 : stride].transpose(0, 2, 1)
@@ -531,6 +525,37 @@ def _im2col_scratch(row_len: int, c: int, kernel: int, stride: int, at: int,
         return cols
 
     return cols_of
+
+
+def _correlate(x: Array, w: Array, out: Array, kernel: int, stride: int, at: int, start: int,
+               bias: Array | None = None) -> None:
+    """``out[i] = cols_i @ w + bias`` for every sample, where ``cols_i`` holds
+    the ``len(out[i])`` windows of ``kernel`` rows that start at ``start``,
+    ``start + stride``, ... of a zero row with ``x[i]`` placed at ``at``.
+
+    The batch is split over the process's CPUs (see ``_parallel``). When the
+    windows are the rows of ``x[i]`` themselves (kernel and stride 1, no
+    offset, ``out`` as long as ``x``), each slice is one GEMM.
+    """
+    batch, n, c = x.shape
+    count, c_out = out.shape[1:]
+    if kernel == stride == 1 and at == start == 0 and count == n:
+        def rows(lo, hi):
+            o = out[lo:hi].reshape(-1, c_out)
+            np.matmul(x[lo:hi].reshape(-1, c), w, out=o)
+            if bias is not None:
+                o += bias
+
+        _parallel(batch, rows)
+    else:
+        def windows(lo, hi, cols_of):
+            for i in range(lo, hi):
+                np.matmul(cols_of(x[i]), w, out=out[i])
+                if bias is not None:
+                    out[i] += bias
+
+        _parallel(batch, windows,
+                  lambda: _im2col_scratch(n, c, kernel, stride, at, start, count, x.dtype))
 
 
 def _channel_sum(g: Array) -> Array:
@@ -547,20 +572,21 @@ def _channel_sum(g: Array) -> Array:
     return acc.astype(g.dtype)
 
 
-def _conv1d_weight_grad(xd: Array, g: Array, w2: Array, im2col: Callable[[], Callable]) -> Array:
+def _conv1d_weight_grad(xd: Array, g: Array, w2: Array, kernel: int, stride: int, pad_l: int) -> Array:
     """d(loss)/d(w2) for a conv1d that is not 1x1: the sum over samples of
-    ``cols_i.T @ g_i``, with ``im2col()`` allocating one slice's scratch.
+    ``cols_i.T @ g_i``, with ``cols_i`` the im2col columns of ``xd[i]``.
 
     The batch runs in rounds: the slices write each sample's product, then
     the calling thread adds them in sample order. The products buffer holds
     at least ``_WORKERS`` of them and otherwise stays under
     ``_PRODUCTS_BYTES``, whatever the batch size.
     """
-    batch = len(xd)
+    batch, length, c_in = xd.shape
     dtype = np.result_type(xd, g)
     step = max(_WORKERS, _PRODUCTS_BYTES // (w2.size * dtype.itemsize))
     products = np.empty((min(step, batch),) + w2.shape, dtype=dtype)
-    buffers = [im2col() for _ in range(min(_WORKERS, len(products)))]
+    buffers = [_im2col_scratch(length, c_in, kernel, stride, pad_l, 0, g.shape[1], xd.dtype)
+               for _ in range(min(_WORKERS, len(products)))]
     dw2 = np.zeros_like(w2)
     for start in range(0, batch, step):
         count = min(step, batch - start)
@@ -575,51 +601,27 @@ def _conv1d_weight_grad(xd: Array, g: Array, w2: Array, im2col: Callable[[], Cal
     return dw2
 
 
-def _conv1d_input_grad(g: Array, w2: Array, kernel: int, stride: int, length: int) -> Array:
+def _conv1d_input_grad(g: Array, w2: Array, kernel: int, stride: int, length: int, pad_l: int) -> Array:
     """d(loss)/d(x) for conv1d from the output gradient ``g`` (B, out_len,
     C_out) and the dense (K*C_in, C_out) weight ``w2``.
 
-    kernel 1 and stride 1: one GEMM per slice of samples. Other stride 1: the
-    adjoint is itself a correlation ("full" conv of the output gradient with
-    the flipped kernel), run as one im2col GEMM per sample over the rows of
-    ``x``. stride > 1 falls back to strided scatter-adds into a padded row.
+    The adjoint of a strided correlation is a stride-1 "full" correlation of
+    the output gradient, zero-dilated by the stride, with the flipped kernel
+    (Dumoulin & Visin, arXiv 1603.07285): ``dx[t] = sum_k gd[t + pad_l - k]
+    @ w[k].T``. So it runs through the same ``_correlate`` as the forward
+    pass, with ``gd`` placed after ``kernel - 1`` zero rows.
     """
     batch, out_len, c_out = g.shape
     c_in = w2.shape[0] // kernel
-    _, pad_l, pad_r = _same_padding(length, kernel, stride)
+    if stride > 1:
+        gd = np.zeros((batch, (out_len - 1) * stride + 1, c_out), dtype=g.dtype)
+        gd[:, ::stride] = g
+        g = gd
+    # w2 rows are ordered (k, c_in); flip k and swap to (k, c_out) rows
+    wf = w2.T if kernel == 1 else np.ascontiguousarray(
+        w2.reshape(kernel, c_in, c_out)[::-1].transpose(0, 2, 1)).reshape(kernel * c_out, c_in)
     dx = np.empty((batch, length, c_in), dtype=g.dtype)
-    if kernel == 1 and stride == 1:
-        def rows(lo, hi):
-            np.matmul(g[lo:hi].reshape(-1, c_out), w2.T, out=dx[lo:hi].reshape(-1, c_in))
-
-        _parallel(batch, rows)
-    elif stride == 1:
-        # w2 rows are ordered (k, c_in); flip k and swap to (k, c_out) rows
-        wf = np.ascontiguousarray(
-            w2.reshape(kernel, c_in, c_out)[::-1].transpose(0, 2, 1)
-        ).reshape(kernel * c_out, c_in)
-
-        def correlate(lo, hi, cols_of):
-            for i in range(lo, hi):
-                np.matmul(cols_of(g[i]), wf, out=dx[i])
-
-        _parallel(batch, correlate, lambda: _im2col_scratch(
-            out_len + 2 * (kernel - 1), c_out, kernel, 1, kernel - 1, pad_l, length, g.dtype))
-    else:
-        span = (out_len - 1) * stride + 1
-
-        def scatter(lo, hi, buffers):
-            row, dcol = buffers
-            dcol3 = dcol.reshape(out_len, kernel, c_in)
-            for i in range(lo, hi):
-                row.fill(0)
-                np.matmul(g[i], w2.T, out=dcol)
-                for k in range(kernel):
-                    row[k : k + span : stride] += dcol3[:, k, :]
-                dx[i] = row[pad_l : pad_l + length]
-
-        _parallel(batch, scatter, lambda: (np.empty((length + pad_l + pad_r, c_in), dtype=g.dtype),
-                                           np.empty((out_len, kernel * c_in), dtype=g.dtype)))
+    _correlate(g, wf, dx, kernel, 1, kernel - 1, pad_l)
     return dx
 
 
@@ -632,13 +634,14 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     group's input channels.
 
     The grouped kernel runs as a dense GEMM with a block-diagonal weight.
-    Forward, weight VJP and input VJP split the batch over the process's
-    CPUs (see ``_parallel``). Each sample is padded into a scratch row and
-    its column matrix built there, so it stays cache-resident and no padded
-    copy of the batch exists; 1x1 convs run one GEMM per slice of samples.
-    Per-sample weight products are summed in sample order by the calling
-    thread, a bounded round of samples at a time, so every result is
-    bit-identical for any CPU count (at a fixed BLAS thread count).
+    The forward pass and the input VJP are one correlation (``_correlate``):
+    the input VJP correlates the output gradient, zero-dilated by the
+    stride, with the flipped kernel. Every pass splits the batch over the
+    process's CPUs (see ``_parallel``) and pads each sample into a scratch
+    row, so no padded copy of the batch exists. Per-sample weight products
+    are summed in sample order by the calling thread, a bounded round at a
+    time, so every result is bit-identical for any CPU count (at a fixed
+    BLAS thread count).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -650,50 +653,30 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     if c_in_g != c_in // groups:
         raise AutodiffError(f"weight expects {c_in // groups} channels per group, got {c_in_g}")
 
-    out_len, pad_l, pad_r = _same_padding(length, kernel, stride)
+    out_len = -(-length // stride)  # ceil
+    pad_l = max((out_len - 1) * stride + kernel - length, 0) // 2
     xd = x.data
     wd = _expand_grouped(w.data, c_in, c_out, groups)
     w2 = np.ascontiguousarray(wd.reshape(kernel * c_in, c_out))
-    pointwise = kernel == 1 and stride == 1
     inputs = [x, w]
     bias = None
     if b is not None:
         b = _as_tensor(b)
         bias = b.data
         inputs.append(b)
-
-    def im2col():
-        return _im2col_scratch(length + pad_l + pad_r, c_in, kernel, stride, pad_l, 0, out_len,
-                               xd.dtype)
-
     data = np.empty((batch, out_len, c_out), dtype=xd.dtype)
-    if pointwise:
-        def forward(lo, hi):
-            out = data[lo:hi].reshape(-1, c_out)
-            np.matmul(xd[lo:hi].reshape(-1, c_in), w2, out=out)
-            if bias is not None:
-                out += bias
-
-        _parallel(batch, forward)
-    else:
-        def forward(lo, hi, cols_of):
-            for i in range(lo, hi):
-                np.matmul(cols_of(xd[i]), w2, out=data[i])
-                if bias is not None:
-                    data[i] += bias
-
-        _parallel(batch, forward, im2col)
+    _correlate(xd, w2, data, kernel, stride, pad_l, 0, bias)
 
     def vjp(g):
         pairs = []
         if w.requires_grad:
-            if pointwise:
+            if kernel == stride == 1:
                 dw2 = xd.reshape(-1, c_in).T @ g.reshape(-1, c_out)
             else:
-                dw2 = _conv1d_weight_grad(xd, g, w2, im2col)
+                dw2 = _conv1d_weight_grad(xd, g, w2, kernel, stride, pad_l)
             pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
         if x.requires_grad:
-            pairs.append((x, _conv1d_input_grad(g, w2, kernel, stride, length)))
+            pairs.append((x, _conv1d_input_grad(g, w2, kernel, stride, length, pad_l)))
         if b is not None and b.requires_grad:
             pairs.append((b, _channel_sum(g)))
         return pairs

@@ -17,8 +17,16 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the user chose a count, set before numpy loads: the
+# encoder already splits its batches over the CPUs, and OpenBLAS would
+# otherwise size its pool from the affinity (see riskclr.autodiff).
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 import click
 import numpy as np

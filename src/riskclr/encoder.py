@@ -198,9 +198,6 @@ class Encoder:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
 

@@ -73,17 +73,6 @@ class ImputedMetadata:
         if not 0 <= self.missing_count <= N_COVARIATES:
             raise ValueError(f"missing_count out of range: {self.missing_count}")
 
-    def to_record(self) -> MetadataRecord:
-        return MetadataRecord(
-            age=self.age,
-            gender=self.gender,
-            smoking=self.smoking,
-            sbp=self.sbp,
-            diabetes=self.diabetes,
-            total_cholesterol=self.total_cholesterol,
-            hdl_cholesterol=self.hdl_cholesterol,
-        )
-
 
 @dataclass(frozen=True)
 class Score2Coefficients:
@@ -151,13 +140,12 @@ def impute(
     record: MetadataRecord,
     rng: np.random.Generator | None = None,
     deterministic: bool = False,
-    default_gender: Gender = DEFAULT_GENDER,
 ) -> ImputedMetadata:
     """Fill absent covariates and count them.
 
     Cholesterol values draw Gaussian noise around the population reference
     unless ``deterministic``; all other defaults are fixed. A missing gender
-    counts toward the missing total and falls back to ``default_gender``.
+    counts toward the missing total and falls back to ``DEFAULT_GENDER``.
     Imputed values are not clamped to physiological ranges (negative draws
     are possible at roughly five standard deviations and are left as-is).
     """
@@ -173,7 +161,7 @@ def impute(
         age, missing = AGE_IMPUTE, missing + 1
     gender = record.gender
     if gender is None:
-        gender, missing = default_gender, missing + 1
+        gender, missing = DEFAULT_GENDER, missing + 1
     smoking = record.smoking
     if smoking is None:
         smoking, missing = 0, missing + 1
@@ -224,15 +212,14 @@ def select_stratum(age: float, gender: Gender) -> Score2Coefficients:
     return COEFFICIENTS[key]
 
 
-def score2(meta: ImputedMetadata, gender: Gender | None = None) -> RiskScore:
+def score2(meta: ImputedMetadata) -> RiskScore:
     """10-year risk 1 - S0^exp(chi - c) with chi = b1.u + u_age * (b2.u).
 
     The dot products accumulate left to right in covariate order so any
     direct transcription of the published formula reproduces the value
     bit for bit.
     """
-    g = gender if gender is not None else meta.gender
-    coef = select_stratum(meta.age, g)
+    coef = select_stratum(meta.age, meta.gender)
     u = standardize(meta)
     main = 0.0
     interact = 0.0

@@ -34,7 +34,6 @@ class BatchRiskInfo:
     r: np.ndarray  # (2B,) risk per view, each in [0, 1]
     m: np.ndarray  # (2B,) missing-covariate count per view
     positive_of: np.ndarray  # (2B,) index of each view's positive partner
-    n_covariates: int = N_COVARIATES
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.float64)
@@ -50,7 +49,7 @@ class BatchRiskInfo:
             raise ValueError("positive_of must be an involution without fixed points")
         if not np.all((r >= 0) & (r <= 1)):  # NaN fails here, not as a pair mismatch
             raise ValueError("risk scores must lie in [0, 1]")
-        if np.any((m < 0) | (m > self.n_covariates)):
+        if np.any((m < 0) | (m > N_COVARIATES)):
             raise ValueError("missing counts must lie in [0, A]")
         if not np.array_equal(r, r[pos]):
             raise ValueError("positive partners must share the same risk score")
@@ -80,14 +79,12 @@ def pairs_involution(n_samples: int) -> np.ndarray:
     return idx ^ 1
 
 
-def missingness_matrix(m: np.ndarray, n_covariates: int = N_COVARIATES) -> np.ndarray:
+def missingness_matrix(m: np.ndarray) -> np.ndarray:
     """M[i,k] = exp(-((A-m_i)/A) * ((A-m_k)/A)); entries in (0, 1]."""
-    if n_covariates <= 0:
-        raise ValueError("n_covariates must be positive")
     m = np.asarray(m, dtype=np.float64)
-    if np.any((m < 0) | (m > n_covariates)):
+    if np.any((m < 0) | (m > N_COVARIATES)):
         raise ValueError("missing counts must lie in [0, A]")
-    frac = (n_covariates - m) / n_covariates
+    frac = (N_COVARIATES - m) / N_COVARIATES
     return np.exp(-np.outer(frac, frac))
 
 
@@ -135,5 +132,5 @@ def weight_matrix(D: np.ndarray, M: np.ndarray, alpha: float) -> WeightMatrix:
 def batch_weights(info: BatchRiskInfo, alpha: float) -> WeightMatrix:
     """Full pipeline for one batch: D and M from risk info, then W = D * M."""
     D = dissimilarity_matrix(info.r, alpha, info.positive_of)
-    M = missingness_matrix(info.m, info.n_covariates)
+    M = missingness_matrix(info.m)
     return weight_matrix(D, M, alpha)

@@ -122,10 +122,16 @@ class TestOpAdjoints:
         assert grad_check(lambda at: ad.mean(ad.square(ad.reshape(at, (4, 4)))), [a],
                           eps=EPS) < TOL
 
-    @pytest.mark.parametrize("stride,groups", [(1, 1), (2, 1), (1, 2), (2, 4), (1, 4)])
-    def test_conv1d(self, stride, groups):
-        c_in, c_out, k = 4, 8, 5
-        x = RNG.normal(size=(2, 12, c_in))
+    @pytest.mark.parametrize("stride,groups,length,k", [
+        pytest.param(stride, groups, 12, 5, id=f"{stride}-{groups}")
+        for stride, groups in [(1, 1), (2, 1), (1, 2), (2, 4), (1, 4)]
+    ] + [  # 1x1 stride 2 on an even length: the dilated gradient is shorter than x
+        pytest.param(stride, 1, length, k, id=f"{stride}-1-L{length}-K{k}")
+        for length, k, stride in [(10, 1, 2), (9, 2, 4), (12, 3, 3), (2, 16, 2)]
+    ])
+    def test_conv1d(self, stride, groups, length, k):
+        c_in, c_out = 4, 8
+        x = RNG.normal(size=(2, length, c_in))
         w = RNG.normal(size=(k, c_in // groups, c_out))
         b = RNG.normal(size=(c_out,))
 
@@ -133,6 +139,13 @@ class TestOpAdjoints:
             return ad.mean(ad.square(ad.conv1d(xt, wt, bt, stride=stride, groups=groups)))
 
         assert grad_check(f, [x, w, b], eps=EPS) < TOL
+        out_len = -(-length // stride)
+        upstream = RNG.normal(size=(2, out_len, c_out))
+        dx = _op_and_grads(lambda xt, wt: ad.conv1d(xt, wt, stride=stride, groups=groups),
+                           [x, w], upstream)[1]
+        wd = ad._expand_grouped(w, c_in, c_out, groups)
+        np.testing.assert_allclose(dx, _scatter_input_grad(upstream, wd, stride, length),
+                                   rtol=0, atol=1e-12)
 
     def test_conv1d_output_length(self):
         x = Tensor(RNG.normal(size=(1, 11, 2)))
@@ -152,6 +165,19 @@ class TestOpAdjoints:
         w = Tensor(np.zeros((3, 1, 4)))
         with pytest.raises(AutodiffError):
             ad.conv1d(x, w, groups=2)
+
+
+def _scatter_input_grad(g, wd, stride, length):
+    """conv1d's input VJP by strided scatter-adds: output row ``j``'s gradient
+    times tap ``k`` of the dense (K, C_in, C_out) weight lands on padded input
+    row ``j * stride + k``."""
+    batch, out_len, _ = g.shape
+    kernel, c_in, _ = wd.shape
+    pad_total = max((out_len - 1) * stride + kernel - length, 0)
+    row = np.zeros((batch, length + pad_total, c_in))
+    for k in range(kernel):
+        row[:, k : k + (out_len - 1) * stride + 1 : stride] += g @ wd[k].T
+    return row[:, pad_total // 2 : pad_total // 2 + length]
 
 
 def _f32(*shape, low=None):
@@ -363,6 +389,7 @@ class TestWorkerCount:
         "pointwise": ((5, 37, 6), (1, 6, 4), 1, 1),
         "grouped": ((5, 37, 8), (16, 2, 8), 1, 4),
         "strided-stem": ((5, 41, 1), (16, 1, 4), 2, 1),
+        "pointwise-strided": ((5, 10, 6), (1, 6, 4), 2, 1),
     }
 
     @staticmethod

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -430,3 +434,36 @@ class TestInspect:
         for sub in ("score2", "gen-data", "pretrain", "probe", "finetune",
                     "ablate", "gradcheck", "eval", "inspect"):
             assert sub in result.output
+
+
+class TestBlasThreads:
+    """The CLI sets one BLAS thread before numpy loads, unless the user set a count."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("given,expected", [
+        ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}),
+        ({"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3",
+                                    "MKL_NUM_THREADS": None}),
+    ], ids=["none-set", "omp-set"])
+    def test_set_before_numpy_loads(self, given, expected):
+        code = textwrap.dedent("""
+            import json, os, sys
+            seen = {}
+
+            class AtNumpyImport:  # records the BLAS variables as numpy starts to load
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.update({v: os.environ.get(v) for v in sys.argv[1:]})
+
+            sys.meta_path.insert(0, AtNumpyImport())
+            import riskclr.cli
+            print(json.dumps(seen))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(given, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code, *self.VARS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected

@@ -101,11 +101,6 @@ class TestImputation:
         assert meta.gender == "male"
         assert meta.missing_count == 6
 
-    def test_gender_default_overridable(self):
-        meta = impute(MetadataRecord(age=50), deterministic=True, default_gender="female")
-        assert meta.gender == "female"
-        assert meta.missing_count == 6
-
     def test_stochastic_noise_on_cholesterol_only(self):
         rng = np.random.default_rng(5)
         rec = MetadataRecord(age=60, gender="male", sbp=120.0)
@@ -120,9 +115,10 @@ class TestImputation:
     def test_deterministic_idempotent(self):
         rec = MetadataRecord(age=62, gender="female")
         once = impute(rec, deterministic=True)
-        twice = impute(once.to_record(), deterministic=True)
-        for field in ("age", "gender", "smoking", "sbp", "diabetes",
-                      "total_cholesterol", "hdl_cholesterol"):
+        fields = ("age", "gender", "smoking", "sbp", "diabetes",
+                  "total_cholesterol", "hdl_cholesterol")
+        twice = impute(MetadataRecord(**{f: getattr(once, f) for f in fields}), deterministic=True)
+        for field in fields:
             assert getattr(once, field) == getattr(twice, field)
         assert twice.missing_count == 0
 

@@ -50,10 +50,6 @@ class TestMissingness:
         assert np.all(M > 0) and np.all(M <= 1)
         np.testing.assert_array_equal(M, M.T)
 
-    def test_rejects_zero_covariates(self):
-        with pytest.raises(ValueError):
-            missingness_matrix(np.array([0, 0]), n_covariates=0)
-
     def test_rejects_out_of_range_counts(self):
         with pytest.raises(ValueError):
             missingness_matrix(np.array([8, 0]))
