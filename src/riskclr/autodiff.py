@@ -11,12 +11,19 @@ Design notes:
     calls.
   * Storage is float64, or float32 when the inputs are float32; reductions
     accumulate float32 in float64.
-  * The hot ops (``conv1d`` and ``swish``) split their batch over the
-    process's CPUs: each slice runs the same numpy calls on the same rows
-    as one worker would, and only sums across samples run in the calling
-    thread, in sample order. Results are therefore bit-identical for any
-    CPU count, provided the BLAS thread count is fixed: OpenBLAS sizes its
-    own pool from the CPU affinity unless OPENBLAS_NUM_THREADS is set.
+  * Every full-size pass of the encoder splits over the process's CPUs
+    (``_parallel``): ``conv1d`` and ``gate`` by samples, ``swish`` and
+    same-shape ``add``, ``sub`` and ``mul`` by blocks of elements,
+    ``mean`` and ``sum_`` over the time axis by samples, forward and VJP,
+    and so do the gradient sums in ``Tape.backward``. ``conv1d``'s 1x1
+    weight GEMM and its bias sum run side by side, one per CPU, each as one
+    call. Each slice runs the numpy calls one worker would, on the same
+    rows and in the same order; only the per-sample weight products of a
+    wider kernel are added across samples, in the calling thread, in sample
+    order. Results are therefore bit-identical for any CPU count, provided
+    the BLAS thread count is fixed: OpenBLAS sizes its own pool from the
+    CPU affinity unless OPENBLAS_NUM_THREADS is set. A ``_parallel`` job
+    runs numpy only: no op, ``_make_out`` or tape.
 
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
 then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
@@ -131,7 +138,8 @@ class Tape:
 
         # grads maps tensor id -> [array, owned]; the first contribution is
         # stored as-is (it may alias an array shared with another consumer),
-        # later ones allocate once and then accumulate in place.
+        # later ones allocate once and then accumulate in place, both split
+        # over the CPUs (see _ufunc).
         grads: dict[int, list] = {id(output): [np.ones_like(output.data), True]}
         tensors: dict[int, Tensor] = {id(output): output}
         nodes = self._nodes
@@ -147,11 +155,9 @@ class Tape:
                 if seen is None:
                     grads[key] = [contrib, False]
                     tensors[key] = tensor
-                elif seen[1]:
-                    seen[0] += contrib
-                else:
-                    seen[0] = seen[0] + contrib
-                    seen[1] = True
+                else:  # a numpy scalar sum is immutable, so never owned
+                    seen[0] = _ufunc(np.add, seen[0], contrib, out=seen[0] if seen[1] else None)
+                    seen[1] = isinstance(seen[0], np.ndarray)
         for key, (g, _) in grads.items():
             leaf = tensors[key]
             if leaf.requires_grad:
@@ -205,26 +211,33 @@ _BLOCK = 4096  # elements per slice unit of an elementwise pass
 _PRODUCTS_BYTES = 16 << 20  # weight-VJP products held at once (at least _WORKERS of them)
 
 
+_pool_thread = threading.local()  # `marked` is set in the pool's own threads
+
+
 def _parallel(n: int, fn: Callable[..., None], scratch: Callable[[], object] | None = None) -> None:
     """Run ``fn(lo, hi)`` over up to ``_WORKERS`` contiguous slices of
     ``range(n)``; the calling thread runs the last slice itself.
 
     With ``scratch``, each slice runs ``fn(lo, hi, scratch())``: ``scratch``
     runs in the calling thread, once per slice, so every buffer is allocated
-    there. ``fn`` runs numpy only: no op, ``_make_out`` or tape.
+    there. ``fn`` runs numpy only: no op, ``_make_out`` or tape. Called from
+    a pool thread (a slice that itself splits), every slice runs in that
+    thread, in order, so a slice never waits on the pool it runs in.
     """
     parts = max(min(_WORKERS, n), 1)
     bounds = [n * k // parts for k in range(parts + 1)]
     calls = [(lo, hi) if scratch is None else (lo, hi, scratch())
              for lo, hi in zip(bounds, bounds[1:])]
-    if parts == 1:
-        fn(*calls[0])
+    if parts == 1 or getattr(_pool_thread, "marked", False):
+        for call in calls:
+            fn(*call)
         return
     global _pool
     if _pool is None or _pool[0] != os.getpid():  # a forked child builds its own
         from concurrent.futures import ThreadPoolExecutor
 
-        _pool = (os.getpid(), ThreadPoolExecutor(max(_WORKERS - 1, 1)))
+        _pool = (os.getpid(), ThreadPoolExecutor(max(_WORKERS - 1, 1), initializer=setattr,
+                                                 initargs=(_pool_thread, "marked", True)))
     # A finished slice's work item can outlive this call in the pool thread;
     # it holds only `job`, which is emptied here, so `fn`, its arrays and the
     # scratch are always released by the calling thread, at a fixed point.
@@ -251,12 +264,36 @@ def _elementwise(size: int, fn: Callable[[slice], None]) -> None:
     _parallel(-(-size // _BLOCK), lambda lo, hi: fn(slice(lo * _BLOCK, hi * _BLOCK)))
 
 
+def _ufunc(fn, a: Array, b, out: Array | None = None):
+    """``fn(a, b, out=out)`` for a numpy ufunc ``fn``. Two C-contiguous
+    arrays of one shape and at least two ``_BLOCK``s run over
+    ``_elementwise`` slices; anything else (a Python number, broadcasting,
+    a small or strided array) runs as the one call."""
+    if not (isinstance(b, np.ndarray) and a.shape == b.shape and a.size >= 2 * _BLOCK
+            and all(v.flags.c_contiguous for v in (a, b, a if out is None else out))):
+        return fn(a, b, out=out)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, b))
+    fa, fb, fo = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    _elementwise(fo.size, lambda sl: fn(fa[sl], fb[sl], out=fo[sl]))
+    return out
+
+
+def _channels_inner(*arrays: Array) -> bool:
+    """True when every array is C-contiguous (B, L, C) with C > 1. numpy's
+    inner loop then runs over channels, so a sum over L adds each sample's
+    rows in order and a batch slice gives the whole call's bits; with one
+    channel, einsum sums L in buffer-sized chunks that may span samples."""
+    return all(v.ndim == 3 and v.shape[2] > 1 and v.flags.c_contiguous for v in arrays)
+
+
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 
 def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
-    """Broadcasting elementwise op ``forward(a, b)``.
+    """Broadcasting elementwise op: the ufunc ``forward`` of ``a`` and ``b``,
+    split over the CPUs when both are arrays of one shape (see ``_ufunc``).
 
     A Python number ``b`` stays a raw float, so numpy's weak promotion keeps
     float32 storage, and only ``a`` is recorded as an input; an array ``b``
@@ -276,7 +313,7 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
         return [(t, _unbroadcast(grad(g, other), t.data.shape))
                 for t, grad, other in operands if t.requires_grad]
 
-    return _make_out(forward(a.data, bv), [t for t, _, _ in operands], vjp)
+    return _make_out(_ufunc(forward, a.data, bv), [t for t, _, _ in operands], vjp)
 
 
 def add(a, b) -> Tensor:
@@ -289,7 +326,11 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise (and broadcast) multiply; covers scalar and mask scaling."""
-    return _binary(a, b, np.multiply, np.multiply, np.multiply)
+    return _binary(a, b, np.multiply, _multiply, _multiply)
+
+
+def _multiply(g: Array, other) -> Array:
+    return _ufunc(np.multiply, g, other)
 
 
 def square(a) -> Tensor:
@@ -362,17 +403,27 @@ def gate(h, gate) -> Tensor:
     if h.data.ndim != 3 or gate.data.shape != (h.data.shape[0], h.data.shape[2]):
         raise AutodiffError(f"gate expects h (B,L,C) and gate (B,C), got {h.data.shape} "
                             f"and {gate.data.shape}")
+    hd = h.data
     scale = (1.0 + gate.data)[:, None, :]
+    data = np.empty(hd.shape, dtype=np.result_type(hd, scale))
+    _parallel(len(hd), lambda lo, hi: np.multiply(hd[lo:hi], scale[lo:hi], out=data[lo:hi]))
 
     def vjp(g):
-        pairs = []
-        if h.requires_grad:
-            pairs.append((h, g * scale))
-        if gate.requires_grad:
-            pairs.append((gate, np.einsum("blc,blc->bc", g, h.data)))
-        return pairs
+        dh = np.empty(g.shape, np.result_type(g, scale))
+        dgate = np.empty(gate.data.shape, np.result_type(g, hd))
+        per_sample = _channels_inner(g, hd)
 
-    return _make_out(h.data * scale, (h, gate), vjp)
+        def slice_vjp(lo, hi):
+            np.multiply(g[lo:hi], scale[lo:hi], out=dh[lo:hi])
+            if per_sample:
+                np.einsum("blc,blc->bc", g[lo:hi], hd[lo:hi], out=dgate[lo:hi])
+
+        _parallel(len(g), slice_vjp)
+        if not per_sample:
+            dgate = np.einsum("blc,blc->bc", g, hd)
+        return [(t, d) for t, d in ((h, dh), (gate, dgate)) if t.requires_grad]
+
+    return _make_out(data, (h, gate), vjp)
 
 
 def abs_(a) -> Tensor:
@@ -419,20 +470,34 @@ def transpose(a) -> Tensor:
 
 def _reduce(a, axis: int | None, fn) -> Tensor:
     """``np.sum`` or ``np.mean`` over ``axis`` (all axes when None);
-    float32 storage accumulates in float64."""
+    float32 storage accumulates in float64. Over the time axis of a (B, L,
+    C) array with channels inner (see ``_channels_inner``), the forward pass
+    and the VJP's fill split the batch over the CPUs."""
     a = _as_tensor(a)
     x = a.data
-    if x.dtype == np.float32:
-        data = fn(x, axis=axis, dtype=np.float64).astype(np.float32)
+    wide = {"dtype": np.float64} if x.dtype == np.float32 else {}
+    per_sample = axis == 1 and _channels_inner(x)
+    if per_sample:
+        data = np.empty((x.shape[0], x.shape[2]), dtype=x.dtype)
+
+        def forward(lo, hi):
+            data[lo:hi] = fn(x[lo:hi], axis=1, **wide)  # rounds as astype does
+
+        _parallel(len(x), forward)
     else:
-        data = fn(x, axis=axis)
+        data = fn(x, axis=axis, **wide).astype(x.dtype, copy=False)
     count = 1 if fn is np.sum else x.size if axis is None else x.shape[axis]
 
     def vjp(g):
         g = g / count
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(g, x.shape).copy())]
+        grad = np.empty(x.shape, dtype=g.dtype)
+        if per_sample:
+            _parallel(len(x), lambda lo, hi: np.copyto(grad[lo:hi], g[lo:hi]))
+        else:
+            np.copyto(grad, g)
+        return [(a, grad)]
 
     return _make_out(data, (a,), vjp)
 
@@ -558,6 +623,18 @@ def _correlate(x: Array, w: Array, out: Array, kernel: int, stride: int, at: int
                   lambda: _im2col_scratch(n, c, kernel, stride, at, start, count, x.dtype))
 
 
+def _side_by_side(jobs: list[Callable[[], Array]]) -> list[Array]:
+    """The results of the numpy-only ``jobs``, one ``_parallel`` slice each."""
+    results = [None] * len(jobs)
+
+    def run(lo, hi):
+        for k in range(lo, hi):
+            results[k] = jobs[k]()
+
+    _parallel(len(jobs), run)
+    return results
+
+
 def _channel_sum(g: Array) -> Array:
     """Sum of ``g`` (..., C) over all but the last axis, accumulated in
     float64: (N, C) is viewed as wide rows (N/R, R*C) with R*C about 512,
@@ -668,17 +745,24 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     _correlate(xd, w2, data, kernel, stride, pad_l, 0, bias)
 
     def vjp(g):
+        # the 1x1 weight GEMM and the bias sum run side by side, one per CPU
+        sums = []
+        if w.requires_grad and kernel == stride == 1:
+            sums.append(lambda: xd.reshape(-1, c_in).T @ g.reshape(-1, c_out))
+        if b is not None and b.requires_grad:
+            sums.append(lambda: _channel_sum(g))
+        sums = _side_by_side(sums)
         pairs = []
         if w.requires_grad:
             if kernel == stride == 1:
-                dw2 = xd.reshape(-1, c_in).T @ g.reshape(-1, c_out)
+                dw2 = sums.pop(0)
             else:
                 dw2 = _conv1d_weight_grad(xd, g, w2, kernel, stride, pad_l)
             pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
         if x.requires_grad:
             pairs.append((x, _conv1d_input_grad(g, w2, kernel, stride, length, pad_l)))
         if b is not None and b.requires_grad:
-            pairs.append((b, _channel_sum(g)))
+            pairs.append((b, sums.pop()))
         return pairs
 
     return _make_out(data, inputs, vjp)

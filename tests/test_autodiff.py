@@ -294,6 +294,17 @@ class TestBackwardSemantics:
         tape.backward(y)
         np.testing.assert_allclose(x.grad, [7.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (5, 3001, 3)])  # one call; split over blocks
+    def test_shared_first_contribution_is_not_written(self, shape):
+        """add's VJP hands one array to both operands, so x's later sum must
+        not land in the array y's gradient still is."""
+        x, y = ad.parameter(RNG.normal(size=shape)), ad.parameter(RNG.normal(size=shape))
+        upstream = RNG.normal(size=shape)
+        with Tape() as tape:
+            loss = ad.sum_(ad.mul(ad.add(ad.add(x, y), x), upstream))
+        tape.backward(loss)
+        assert np.array_equal(y.grad, upstream) and np.array_equal(x.grad, upstream + upstream)
+
     def test_backward_frees_intermediates(self):
         x = ad.parameter(RNG.normal(size=(3,)))
         with Tape() as tape:
@@ -383,13 +394,15 @@ def _op_and_grads(op, arrays, upstream):
 
 
 class TestWorkerCount:
-    """conv1d and swish give the same bits whatever the number of batch slices."""
+    """Every op that splits its work over the CPUs gives the same bits
+    whatever the number of slices."""
 
     CONVS = {  # name: (x shape, w shape, stride, groups)
         "pointwise": ((5, 37, 6), (1, 6, 4), 1, 1),
         "grouped": ((5, 37, 8), (16, 2, 8), 1, 4),
         "strided-stem": ((5, 41, 1), (16, 1, 4), 2, 1),
         "pointwise-strided": ((5, 10, 6), (1, 6, 4), 2, 1),
+        "pointwise-wide": ((5, 1000, 6), (1, 6, 4), 1, 1),  # output over one _BLOCK
     }
 
     @staticmethod
@@ -428,6 +441,108 @@ class TestWorkerCount:
         x = (rng.normal(size=shape) * 40).astype(dtype)  # saturates both tails too
         upstream = rng.normal(size=shape).astype(dtype)
         self._across_workers(monkeypatch, ad.swish, [x], upstream)
+
+    # many blocks; under one block; one channel, where numpy's inner loop runs over time
+    SHAPES = [(5, 3001, 3), (5, 7, 2), (3, 9000, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    def test_same_shape_binary(self, monkeypatch, op, shape, dtype):
+        rng = np.random.default_rng(11)
+        arrays = [rng.normal(size=shape).astype(dtype) for _ in range(2)]
+        upstream = rng.normal(size=shape).astype(dtype)
+        self._across_workers(monkeypatch, op, arrays, upstream)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("op", [ad.mean, ad.sum_])
+    def test_time_reduction(self, monkeypatch, op, shape, dtype):
+        rng = np.random.default_rng(12)
+        x = (rng.normal(size=shape) * 100).astype(dtype)
+        upstream = rng.normal(size=(shape[0], shape[2])).astype(dtype)
+        self._across_workers(monkeypatch, lambda t: op(t, axis=1), [x], upstream)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_float32_time_mean_accumulates_in_float64(self, monkeypatch, shape):
+        rng = np.random.default_rng(13)
+        x = (1e4 + rng.normal(size=shape)).astype(np.float32)  # float32 running sums drift
+        expected = np.mean(x, axis=1, dtype=np.float64).astype(np.float32)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ad, "_WORKERS", workers)
+            got = ad.mean(Tensor(x), axis=1).data
+            assert got.dtype == np.float32 and np.array_equal(got, expected)
+        if shape == self.SHAPES[0]:  # running float32 sums over time give other bits
+            assert not np.array_equal(expected, np.mean(x, axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gate(self, monkeypatch, shape, dtype):
+        rng = np.random.default_rng(14)
+        arrays = [rng.normal(size=shape).astype(dtype),
+                  rng.uniform(size=(shape[0], shape[2])).astype(dtype)]
+        upstream = rng.normal(size=shape).astype(dtype)
+        self._across_workers(monkeypatch, ad.gate, arrays, upstream)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_three_consumers(self, monkeypatch, shape, dtype):
+        """x feeds both operands of mul and then add: the tape stores the
+        first contribution, allocates the first sum, accumulates the third."""
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=shape).astype(dtype)
+        upstream = rng.normal(size=shape).astype(dtype)
+        self._across_workers(monkeypatch, lambda t: ad.add(ad.mul(t, t), t), [x], upstream)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_ops_match_one_numpy_call(self, monkeypatch, dtype):
+        """On three slices, each split op gives the bits of the single numpy
+        call it replaces."""
+        monkeypatch.setattr(ad, "_WORKERS", 3)
+        rng = np.random.default_rng(16)
+        h, other, g = (rng.normal(size=(5, 3001, 3)).astype(dtype) for _ in range(3))
+        gate = rng.uniform(size=(5, 3)).astype(dtype)
+        wide = {"dtype": np.float64} if dtype == np.float32 else {}
+        scale = (1.0 + gate)[:, None, :]
+        leaves = [ad.parameter(h.copy()), ad.parameter(gate.copy())]
+        with Tape() as tape:
+            loss = ad.sum_(ad.mul(ad.gate(*leaves), g))
+        tape.backward(loss)
+        acc = h.copy()
+        pairs = [
+            (ad.add(h, other).data, h + other),
+            (ad.mul(h, other).data, h * other),
+            (ad._multiply(g, other), g * other),
+            (ad.sum_(h, axis=1).data, np.sum(h, axis=1, **wide).astype(dtype)),
+            (ad.gate(h, gate).data, h * scale),
+            (leaves[0].grad, g * scale),
+            (leaves[1].grad, np.einsum("blc,blc->bc", g, h)),
+            (ad._ufunc(np.add, acc, g, out=acc), h + g),  # the tape's in-place sum
+        ]
+        for got, expected in pairs:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_nested_split_runs_in_the_pool_thread(self, monkeypatch):
+        """A slice that itself splits runs every inner slice in its own
+        thread, in order, and does not wait on the one-thread pool it runs in."""
+        monkeypatch.setattr(ad, "_WORKERS", 2)
+        monkeypatch.setattr(ad, "_pool", None)  # a fresh pool of one thread
+        outer_threads, inner = {}, []
+
+        def outer(lo, hi):
+            outer_threads[lo] = threading.get_ident()
+            ad._parallel(4, lambda a, b: inner.append((lo, threading.get_ident(), a, b)))
+
+        caller = threading.Thread(target=ad._parallel, args=(2, outer), daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        stuck = caller.is_alive()
+        ad._pool[1].shutdown(wait=False, cancel_futures=True)  # also frees a deadlocked pool
+        assert not stuck, "a nested split waited on its own pool"
+        in_pool = [(t, a, b) for lo, t, a, b in inner if lo == 0]
+        assert outer_threads[0] != outer_threads[1]
+        assert in_pool == [(outer_threads[0], 0, 2), (outer_threads[0], 2, 4)]
+        assert sorted((a, b) for lo, _, a, b in inner if lo == 1) == [(0, 2), (2, 4)]
 
     @pytest.mark.parametrize("rows", [1, 31, 32, 33, 40_000])
     def test_bias_grad_is_the_float64_channel_sum(self, rows):
