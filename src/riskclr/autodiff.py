@@ -624,7 +624,8 @@ def _correlate(x: Array, w: Array, out: Array, kernel: int, stride: int, at: int
 
 
 def _side_by_side(jobs: list[Callable[[], Array]]) -> list[Array]:
-    """The results of the numpy-only ``jobs``, one ``_parallel`` slice each."""
+    """The results of the numpy-only ``jobs``, one ``_parallel`` slice each;
+    the calling thread runs the last job."""
     results = [None] * len(jobs)
 
     def run(lo, hi):
@@ -745,17 +746,19 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     _correlate(xd, w2, data, kernel, stride, pad_l, 0, bias)
 
     def vjp(g):
-        # the 1x1 weight GEMM and the bias sum run side by side, one per CPU
+        # The bias sum and the 1x1 weight GEMM run side by side, one per CPU.
+        # The GEMM, listed last, runs in the calling thread: in a pool thread
+        # it raised the pretrain benchmark's peak RSS by 0.3 MB (BENCH_10.json).
         sums = []
-        if w.requires_grad and kernel == stride == 1:
-            sums.append(lambda: xd.reshape(-1, c_in).T @ g.reshape(-1, c_out))
         if b is not None and b.requires_grad:
             sums.append(lambda: _channel_sum(g))
+        if w.requires_grad and kernel == stride == 1:
+            sums.append(lambda: xd.reshape(-1, c_in).T @ g.reshape(-1, c_out))
         sums = _side_by_side(sums)
         pairs = []
         if w.requires_grad:
             if kernel == stride == 1:
-                dw2 = sums.pop(0)
+                dw2 = sums.pop()
             else:
                 dw2 = _conv1d_weight_grad(xd, g, w2, kernel, stride, pad_l)
             pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))

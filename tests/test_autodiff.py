@@ -508,6 +508,11 @@ class TestWorkerCount:
         with Tape() as tape:
             loss = ad.sum_(ad.mul(ad.gate(*leaves), g))
         tape.backward(loss)
+        upstream = rng.normal(size=(5, 3)).astype(dtype)
+        dmean = _op_and_grads(lambda t: ad.mean(t, axis=1), [h], upstream)[1]
+        w, b = rng.normal(size=(1, 3, 4)).astype(dtype), rng.normal(size=4).astype(dtype)
+        g4 = rng.normal(size=(5, 3001, 4)).astype(dtype)
+        _, _, dw, db = _op_and_grads(ad.conv1d, [h, w, b], g4)
         acc = h.copy()
         pairs = [
             (ad.add(h, other).data, h + other),
@@ -518,6 +523,9 @@ class TestWorkerCount:
             (leaves[0].grad, g * scale),
             (leaves[1].grad, np.einsum("blc,blc->bc", g, h)),
             (ad._ufunc(np.add, acc, g, out=acc), h + g),  # the tape's in-place sum
+            (dmean, np.broadcast_to((upstream / 3001)[:, None, :], h.shape).copy()),
+            (dw, (h.reshape(-1, 3).T @ g4.reshape(-1, 4)).reshape(w.shape)),
+            (db, ad._channel_sum(g4)),
         ]
         for got, expected in pairs:
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
