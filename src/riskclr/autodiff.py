@@ -746,9 +746,7 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     _correlate(xd, w2, data, kernel, stride, pad_l, 0, bias)
 
     def vjp(g):
-        # The bias sum and the 1x1 weight GEMM run side by side, one per CPU.
-        # The GEMM, listed last, runs in the calling thread: in a pool thread
-        # it raised the pretrain benchmark's peak RSS by 0.3 MB (BENCH_10.json).
+        # the bias sum and the 1x1 weight GEMM run side by side, one per CPU
         sums = []
         if b is not None and b.requires_grad:
             sums.append(lambda: _channel_sum(g))
