@@ -7,23 +7,22 @@ Design notes:
     VJPs in reverse execution order, which is a valid reverse topological
     order because execution order itself is topological.
   * Layout convention for sequence data is channels-last ``(batch, length,
-    channels)`` so 1x1 convolutions and dense layers map onto single BLAS
-    calls.
+    channels)`` so a 1x1 convolution of one sample and a dense layer map onto
+    single BLAS calls.
   * Storage is float64, or float32 when the inputs are float32; reductions
     accumulate float32 in float64.
   * Every full-size pass of the encoder splits over the process's CPUs
     (``_parallel``): ``conv1d`` and ``gate`` by samples, ``swish`` and
     same-shape ``add``, ``sub`` and ``mul`` by blocks of elements,
     ``mean`` and ``sum_`` over the time axis by samples, forward and VJP,
-    and so do the gradient sums in ``Tape.backward``. ``conv1d``'s 1x1
-    weight GEMM and its bias sum run side by side, one per CPU, each as one
-    call. Each slice runs the numpy calls one worker would, on the same
-    rows and in the same order; only the per-sample weight products of a
-    wider kernel are added across samples, in the calling thread, in sample
-    order. Results are therefore bit-identical for any CPU count, provided
-    the BLAS thread count is fixed: OpenBLAS sizes its own pool from the
-    CPU affinity unless OPENBLAS_NUM_THREADS is set. A ``_parallel`` job
-    runs numpy only: no op, ``_make_out`` or tape.
+    and so do the gradient sums in ``Tape.backward``. Each slice runs the
+    numpy calls one worker would, on the same rows and in the same order;
+    only ``conv1d``'s per-sample weight products and bias sums are added
+    across samples, in the calling thread, in sample order. Results are
+    therefore bit-identical for any CPU count, provided the BLAS thread
+    count is fixed: OpenBLAS sizes its own pool from the CPU affinity unless
+    OPENBLAS_NUM_THREADS is set. A ``_parallel`` job runs numpy only: no op,
+    ``_make_out`` or tape.
 
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
 then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
@@ -576,8 +575,12 @@ def _im2col_scratch(n: int, c: int, kernel: int, stride: int, at: int, start: in
     ``at`` (the zeros around it are the padding) and returns the columns of
     the ``count`` windows that start at ``start``, ``start + stride``, ...
     The row is just long enough for the sample and the last window. The
-    window view is built once per buffer, not once per sample.
+    window view is built once per buffer, not once per sample. When the
+    windows are the sample's own rows (kernel and stride 1, no offset,
+    ``count == n``), ``cols_of`` returns the sample itself.
     """
+    if kernel == stride == 1 and at == start == 0 and count == n:
+        return lambda sample: sample
     row = np.zeros((max(at + n, start + (count - 1) * stride + kernel), c), dtype=dtype)
     cols = np.empty((count, kernel * c), dtype=dtype)
     win = np.lib.stride_tricks.sliding_window_view(row, kernel, axis=0)  # (L', c, K)
@@ -597,86 +600,72 @@ def _correlate(x: Array, w: Array, out: Array, kernel: int, stride: int, at: int
     """``out[i] = cols_i @ w + bias`` for every sample, where ``cols_i`` holds
     the ``len(out[i])`` windows of ``kernel`` rows that start at ``start``,
     ``start + stride``, ... of a zero row with ``x[i]`` placed at ``at``.
-
-    The batch is split over the process's CPUs (see ``_parallel``). When the
-    windows are the rows of ``x[i]`` themselves (kernel and stride 1, no
-    offset, ``out`` as long as ``x``), each slice is one GEMM.
+    The batch is split over the process's CPUs (see ``_parallel``).
     """
     batch, n, c = x.shape
-    count, c_out = out.shape[1:]
-    if kernel == stride == 1 and at == start == 0 and count == n:
-        def rows(lo, hi):
-            o = out[lo:hi].reshape(-1, c_out)
-            np.matmul(x[lo:hi].reshape(-1, c), w, out=o)
+
+    def windows(lo, hi, cols_of):
+        for i in range(lo, hi):
+            np.matmul(cols_of(x[i]), w, out=out[i])
             if bias is not None:
-                o += bias
+                out[i] += bias
 
-        _parallel(batch, rows)
-    else:
-        def windows(lo, hi, cols_of):
-            for i in range(lo, hi):
-                np.matmul(cols_of(x[i]), w, out=out[i])
-                if bias is not None:
-                    out[i] += bias
-
-        _parallel(batch, windows,
-                  lambda: _im2col_scratch(n, c, kernel, stride, at, start, count, x.dtype))
-
-
-def _side_by_side(jobs: list[Callable[[], Array]]) -> list[Array]:
-    """The results of the numpy-only ``jobs``, one ``_parallel`` slice each;
-    the calling thread runs the last job."""
-    results = [None] * len(jobs)
-
-    def run(lo, hi):
-        for k in range(lo, hi):
-            results[k] = jobs[k]()
-
-    _parallel(len(jobs), run)
-    return results
+    _parallel(batch, windows,
+              lambda: _im2col_scratch(n, c, kernel, stride, at, start, out.shape[1], x.dtype))
 
 
 def _channel_sum(g: Array) -> Array:
-    """Sum of ``g`` (..., C) over all but the last axis, accumulated in
-    float64: (N, C) is viewed as wide rows (N/R, R*C) with R*C about 512,
-    summed down, and the R groups folded, then the N % R rows left over
-    added."""
-    c = g.shape[-1]
-    flat = g.reshape(-1, c)
+    """Float64 sum over the rows of each sample of ``g`` (..., L, C): a
+    sample's rows are viewed as wide rows (L/R, R*C) with R*C about 512,
+    summed down, and the R groups folded, then the L % R rows left over
+    added. Each sample's sum has the bits it has alone."""
+    *lead, length, c = g.shape
     r = max(512 // c, 1)
-    m = flat.shape[0] // r
-    acc = flat[: m * r].reshape(m, r * c).sum(axis=0, dtype=np.float64).reshape(r, c).sum(axis=0)
-    acc += flat[m * r :].sum(axis=0, dtype=np.float64)
-    return acc.astype(g.dtype)
+    m = length // r
+    acc = g[..., : m * r, :].reshape(*lead, m, r * c).sum(axis=-2, dtype=np.float64)
+    acc = acc.reshape(*lead, r, c).sum(axis=-2)
+    acc += g[..., m * r :, :].sum(axis=-2, dtype=np.float64)
+    return acc
 
 
-def _conv1d_weight_grad(xd: Array, g: Array, w2: Array, kernel: int, stride: int, pad_l: int) -> Array:
-    """d(loss)/d(w2) for a conv1d that is not 1x1: the sum over samples of
-    ``cols_i.T @ g_i``, with ``cols_i`` the im2col columns of ``xd[i]``.
+def _conv1d_param_grads(xd: Array, g: Array, w2: Array, kernel: int, stride: int, pad_l: int,
+                        weight: bool, bias: bool) -> tuple[Array | None, Array | None]:
+    """d(loss)/d(w2) and d(loss)/d(bias) for conv1d, each only when asked
+    for: the sums over samples of ``cols_i.T @ g_i``, with ``cols_i`` the
+    im2col columns of ``xd[i]``, and of ``g_i``'s float64 ``_channel_sum``.
 
-    The batch runs in rounds: the slices write each sample's product, then
-    the calling thread adds them in sample order. The products buffer holds
-    at least ``_WORKERS`` of them and otherwise stays under
+    The batch runs in rounds: the slices write each sample's product and
+    sum, then the calling thread adds them in sample order. The products
+    buffer holds at least ``_WORKERS`` of them and otherwise stays under
     ``_PRODUCTS_BYTES``, whatever the batch size.
     """
     batch, length, c_in = xd.shape
     dtype = np.result_type(xd, g)
     step = max(_WORKERS, _PRODUCTS_BYTES // (w2.size * dtype.itemsize))
-    products = np.empty((min(step, batch),) + w2.shape, dtype=dtype)
+    rows = min(step, batch)
+    products = np.empty((rows,) + w2.shape, dtype=dtype) if weight else None
+    sums = np.empty((rows, g.shape[2])) if bias else None
     buffers = [_im2col_scratch(length, c_in, kernel, stride, pad_l, 0, g.shape[1], xd.dtype)
-               for _ in range(min(_WORKERS, len(products)))]
-    dw2 = np.zeros_like(w2)
+               for _ in range(min(_WORKERS, rows))]
+    dw2 = np.zeros_like(w2) if weight else None
+    db = np.zeros(g.shape[2]) if bias else None
     for start in range(0, batch, step):
         count = min(step, batch - start)
 
-        def weight_products(lo, hi, cols_of, start=start):
-            for i in range(lo, hi):
-                np.matmul(cols_of(xd[start + i]).T, g[start + i], out=products[i])
+        def sample_sums(lo, hi, cols_of, start=start):
+            if weight:
+                for i in range(lo, hi):
+                    np.matmul(cols_of(xd[start + i]).T, g[start + i], out=products[i])
+            if bias:
+                sums[lo:hi] = _channel_sum(g[start + lo : start + hi])
 
-        _parallel(count, weight_products, iter(buffers).__next__)  # reused each round
-        for p in products[:count]:
-            dw2 += p
-    return dw2
+        _parallel(count, sample_sums, iter(buffers).__next__)  # reused each round
+        for i in range(count):
+            if weight:
+                dw2 += products[i]
+            if bias:
+                db += sums[i]
+    return dw2, None if db is None else db.astype(g.dtype)
 
 
 def _conv1d_input_grad(g: Array, w2: Array, kernel: int, stride: int, length: int, pad_l: int) -> Array:
@@ -714,12 +703,13 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     The grouped kernel runs as a dense GEMM with a block-diagonal weight.
     The forward pass and the input VJP are one correlation (``_correlate``):
     the input VJP correlates the output gradient, zero-dilated by the
-    stride, with the flipped kernel. Every pass splits the batch over the
-    process's CPUs (see ``_parallel``) and pads each sample into a scratch
-    row, so no padded copy of the batch exists. Per-sample weight products
-    are summed in sample order by the calling thread, a bounded round at a
-    time, so every result is bit-identical for any CPU count (at a fixed
-    BLAS thread count).
+    stride, with the flipped kernel. Every pass, whatever the kernel, loops
+    over the samples of each ``_parallel`` slice and pads each sample into a
+    scratch row, so no padded copy of the batch exists; a 1x1 kernel reads
+    the sample itself. The weight and bias gradients are per-sample products
+    and float64 sums (``_conv1d_param_grads``), added in sample order by the
+    calling thread a bounded round at a time, so every result is
+    bit-identical for any CPU count (at a fixed BLAS thread count).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -746,24 +736,16 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
     _correlate(xd, w2, data, kernel, stride, pad_l, 0, bias)
 
     def vjp(g):
-        # the bias sum and the 1x1 weight GEMM run side by side, one per CPU
-        sums = []
-        if b is not None and b.requires_grad:
-            sums.append(lambda: _channel_sum(g))
-        if w.requires_grad and kernel == stride == 1:
-            sums.append(lambda: xd.reshape(-1, c_in).T @ g.reshape(-1, c_out))
-        sums = _side_by_side(sums)
+        want_w, want_b = w.requires_grad, b is not None and b.requires_grad
+        if want_w or want_b:
+            dw2, db = _conv1d_param_grads(xd, g, w2, kernel, stride, pad_l, want_w, want_b)
         pairs = []
-        if w.requires_grad:
-            if kernel == stride == 1:
-                dw2 = sums.pop()
-            else:
-                dw2 = _conv1d_weight_grad(xd, g, w2, kernel, stride, pad_l)
+        if want_w:
             pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
         if x.requires_grad:
             pairs.append((x, _conv1d_input_grad(g, w2, kernel, stride, length, pad_l)))
-        if b is not None and b.requires_grad:
-            pairs.append((b, sums.pop()))
+        if want_b:
+            pairs.append((b, db))
         return pairs
 
     return _make_out(data, inputs, vjp)

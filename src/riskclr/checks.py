@@ -20,7 +20,6 @@ def one_of(*options):
     return lambda v: v in options, f"one of {options}"
 
 
-INTEGER = (lambda v: isinstance(v, numbers.Integral), "an integer")
 POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
 NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "non-negative and finite")
 UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")

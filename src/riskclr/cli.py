@@ -107,7 +107,7 @@ def main() -> None:
 @main.command("score2")
 @click.option("--input", "input_path", required=True, help="metadata CSV (age,gender,smoking,sbp,diabetes,tchol,hdl)")
 @click.option("--output", "output_path", default="-", help="output CSV path or - for stdout")
-@click.option("--seed", default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--deterministic/--stochastic", default=True, show_default=True,
               help="imputation mode for missing covariates")
 def score2_cmd(input_path, output_path, seed, deterministic):
@@ -345,7 +345,7 @@ def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, 
 @click.option("--tolerance", default=1e-4, show_default=True)
 @click.option("--dump-weights", "dump_w", default=None,
               help="also dump a random batch's weight matrix to this CSV")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--with-encoder/--losses-only", default=False, show_default=True,
               help="include the end-to-end encoder+loss check (slower)")
 def gradcheck_cmd(tolerance, dump_w, seed, with_encoder):

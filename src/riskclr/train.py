@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import container
 from .autodiff import Tape, Tensor
-from .checks import BOOL, INTEGER, NON_NEGATIVE, POSITIVE, UNIT, check_fields, integer, one_of
+from .checks import BOOL, NON_NEGATIVE, POSITIVE, UNIT, check_fields, integer, one_of
 from .data import Dataset, DownstreamDataset
 from .encoder import Encoder, build, load_checkpoint, save_checkpoint
 from .losses import DEFAULT_ALPHA, DEFAULT_TAU, EmbeddingBatch, LossSpec
@@ -143,7 +143,7 @@ class PretrainConfig:
         check_fields(
             self, batch_size=integer(2), epochs=integer(1), lr=POSITIVE,
             weight_decay=NON_NEGATIVE, tau=POSITIVE, alpha=UNIT, patience=integer(0),
-            seed=INTEGER, lead_mode=one_of("all-12", "fixed-lead"),
+            seed=integer(0), lead_mode=one_of("all-12", "fixed-lead"),
             fixed_lead=integer(1, 12), val_fraction=(lambda v: 0 <= v < 1, "in [0, 1)"),
             loss=(lambda v: isinstance(v, LossSpec), "a LossSpec"),
             noise_intensity=NON_NEGATIVE, mask_prob=UNIT, mask_fraction=UNIT,
@@ -165,7 +165,7 @@ class DownstreamConfig:
         check_fields(
             self, task=one_of("binary", "regression"), batch_size=integer(1),
             epochs=integer(1), lr=POSITIVE, weight_decay=NON_NEGATIVE,
-            patience=integer(0), restart_period=integer(1), seed=INTEGER)
+            patience=integer(0), restart_period=integer(1), seed=integer(0))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +624,7 @@ def ablate(prep: PreparedPretrain, encoder_config, down_train: DownstreamDataset
     for spec in variants:
         enc = build(encoder_config, seed=encoder_seed, dtype=np.dtype(cfg.dtype))
         run_cfg = replace(cfg, loss=spec)
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = pretrain(prep, enc, run_cfg, bank=bank)
         head, _ = linear_probe(enc, down_train, down_val, probe_cfg,
                                signals_train=sig_train, signals_val=sig_val)
@@ -636,7 +636,7 @@ def ablate(prep: PreparedPretrain, encoder_config, down_train: DownstreamDataset
             "final_train_loss": result.history[-1]["train_loss"],
             "test_auroc" if probe_cfg.task == "binary" else "test_mae":
                 test.get("auroc", test.get("mae")),
-            "seconds": round(time.time() - t0, 2),
+            "seconds": round(time.perf_counter() - t0, 2),
         })
     return rows
 

@@ -383,14 +383,17 @@ class TestGradCheckHarness:
             grad_check(lambda t: ad.mean(t), [np.ones(2)], eps=0.0)
 
 
-def _op_and_grads(op, arrays, upstream):
-    """Output and every input's gradient of ``op`` under the loss sum(op * upstream)."""
-    leaves = [ad.parameter(a.copy()) for a in arrays]
+def _op_and_grads(op, arrays, upstream, watched=None):
+    """Output and every watched input's gradient (every input's by default)
+    of ``op`` under the loss sum(op * upstream)."""
+    watched = [True] * len(arrays) if watched is None else watched
+    leaves = [Tensor(a.copy(), requires_grad=want) for a, want in zip(arrays, watched)]
     with Tape() as tape:
         out = op(*leaves)
         loss = ad.sum_(ad.mul(out, upstream))
     tape.backward(loss)
-    return [out.data] + [leaf.grad for leaf in leaves]
+    assert all(leaf.grad is None for leaf, want in zip(leaves, watched) if not want)
+    return [out.data] + [leaf.grad for leaf, want in zip(leaves, watched) if want]
 
 
 class TestWorkerCount:
@@ -406,21 +409,20 @@ class TestWorkerCount:
     }
 
     @staticmethod
-    def _across_workers(monkeypatch, op, arrays, upstream):
+    def _across_workers(monkeypatch, op, arrays, upstream, watched=None):
         runs = []
         for workers in (1, 2, 3):  # 3 slices an odd batch of 5 unevenly
             for products_bytes in (ad._PRODUCTS_BYTES, 0):  # 0: weight-VJP rounds of `workers`
                 monkeypatch.setattr(ad, "_WORKERS", workers)
                 monkeypatch.setattr(ad, "_PRODUCTS_BYTES", products_bytes)
-                runs.append(_op_and_grads(op, arrays, upstream))
+                runs.append(_op_and_grads(op, arrays, upstream, watched))
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+        return runs[0]
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("name", sorted(CONVS))
-    def test_conv1d(self, monkeypatch, name, bias, dtype):
+    def _conv1d_case(self, name, bias, dtype):
+        """The op, its arrays and the upstream gradient of one ``CONVS`` case."""
         x_shape, w_shape, stride, groups = self.CONVS[name]
         rng = np.random.default_rng(7)
         arrays = [rng.normal(size=x_shape).astype(dtype), rng.normal(size=w_shape).astype(dtype)]
@@ -432,7 +434,24 @@ class TestWorkerCount:
         def op(*t):
             return ad.conv1d(*t, stride=stride, groups=groups)
 
-        self._across_workers(monkeypatch, op, arrays, upstream)
+        return op, arrays, upstream
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("name", sorted(CONVS))
+    def test_conv1d(self, monkeypatch, name, bias, dtype):
+        self._across_workers(monkeypatch, *self._conv1d_case(name, bias, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("only", [1, 2])  # the weight's or the bias's gradient alone
+    @pytest.mark.parametrize("name", sorted(CONVS))
+    def test_conv1d_one_parameter_gradient(self, monkeypatch, name, only, dtype):
+        """A gradient asked for alone has the bits it has beside the others."""
+        op, arrays, upstream = self._conv1d_case(name, True, dtype)
+        watched = [k == only for k in range(3)]
+        out, grad = self._across_workers(monkeypatch, op, arrays, upstream, watched)
+        every = _op_and_grads(op, arrays, upstream)
+        assert np.array_equal(out, every[0]) and np.array_equal(grad, every[1 + only])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(5, 3001, 3), (5, 7)])  # many blocks; under one block
@@ -513,6 +532,10 @@ class TestWorkerCount:
         w, b = rng.normal(size=(1, 3, 4)).astype(dtype), rng.normal(size=4).astype(dtype)
         g4 = rng.normal(size=(5, 3001, 4)).astype(dtype)
         _, _, dw, db = _op_and_grads(ad.conv1d, [h, w, b], g4)
+        dw_by_sample, db_by_sample = np.zeros((3, 4), dtype), np.zeros(4)
+        for i in range(5):  # per-sample products and float64 sums, in sample order
+            dw_by_sample += h[i].T @ g4[i]
+            db_by_sample += ad._channel_sum(g4[i])
         acc = h.copy()
         pairs = [
             (ad.add(h, other).data, h + other),
@@ -524,8 +547,8 @@ class TestWorkerCount:
             (leaves[1].grad, np.einsum("blc,blc->bc", g, h)),
             (ad._ufunc(np.add, acc, g, out=acc), h + g),  # the tape's in-place sum
             (dmean, np.broadcast_to((upstream / 3001)[:, None, :], h.shape).copy()),
-            (dw, (h.reshape(-1, 3).T @ g4.reshape(-1, 4)).reshape(w.shape)),
-            (db, ad._channel_sum(g4)),
+            (dw, dw_by_sample.reshape(w.shape)),
+            (db, db_by_sample.astype(dtype)),
         ]
         for got, expected in pairs:
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
@@ -556,24 +579,25 @@ class TestWorkerCount:
     def test_bias_grad_is_the_float64_channel_sum(self, rows):
         g = np.random.default_rng(rows).normal(size=(rows, 16)).astype(np.float32)
         expected = g.sum(axis=0, dtype=np.float64).astype(np.float32)
-        assert np.array_equal(ad._channel_sum(g.reshape(1, rows, 16)), expected)
+        assert np.array_equal(ad._channel_sum(g).astype(np.float32), expected)
 
     @pytest.mark.parametrize("channels", [1, 8, 48, 600])  # 48: 10 groups of 480; 600: one group
     @pytest.mark.parametrize("rows", [1, 33, 5001])
     def test_bias_grad_float64_is_near_the_exact_sum(self, rows, channels):
         g = np.random.default_rng(rows * channels).normal(size=(rows, channels))
         exact = np.array([math.fsum(column) for column in g.T])
-        got = ad._channel_sum(g.reshape(1, rows, channels))
+        got = ad._channel_sum(g)
         assert got.dtype == np.float64 and got.shape == (channels,)
         np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14 * np.abs(g).sum(axis=0).max())
 
     @staticmethod
-    def _weight_vjp_peak(batch: int) -> int:
-        """Peak bytes traced while the weight VJP of a 16-tap conv whose
-        per-sample product (1024, 64) float64 is 512 KiB runs on a batch."""
+    def _weight_vjp_peak(batch: int, kernel: int, channels: int) -> int:
+        """Peak bytes traced while the weight VJP of a conv of ``kernel``
+        taps and ``channels`` channels in and out runs on a batch of 8-row
+        float64 samples."""
         rng = np.random.default_rng(batch)
-        x = Tensor(rng.normal(size=(batch, 8, 64)))
-        w = ad.parameter(rng.normal(size=(16, 64, 64)))
+        x = Tensor(rng.normal(size=(batch, 8, channels)))
+        w = ad.parameter(rng.normal(size=(kernel, channels, channels)))
         with Tape() as tape:
             loss = ad.sum_(ad.conv1d(x, w))
         tracemalloc.start()
@@ -585,13 +609,19 @@ class TestWorkerCount:
 
     def test_weight_products_do_not_grow_with_the_batch(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 2)
-        product = 16 * 64 * 64 * 8
-        # 64 samples hold 32 MiB of products at once if nothing bounds them;
-        # the batch's own arrays grow by 60 * 4 KiB from 4 samples to 64
-        monkeypatch.setattr(ad, "_PRODUCTS_BYTES", 0)  # rounds of _WORKERS samples
-        assert self._weight_vjp_peak(64) - self._weight_vjp_peak(4) < 2 * product
-        monkeypatch.setattr(ad, "_PRODUCTS_BYTES", 4 * product)  # rounds of 4 samples
-        assert self._weight_vjp_peak(64) < 8 * product  # 4 products, weights, scratch, g
+        # 16 taps of 64 channels: a 512 KiB product, and the batch's own
+        # arrays grow by 60 * 4 KiB from 4 samples to 64; 1x1 at the M width
+        # (1,024 channels): an 8 MiB product, and they grow by 60 * 64 KiB
+        for kernel, channels in ((16, 64), (1, 1024)):
+            product = kernel * channels * channels * 8
+            # 64 samples hold 64 products at once if nothing bounds them
+            monkeypatch.setattr(ad, "_PRODUCTS_BYTES", 0)  # rounds of _WORKERS samples
+            grown = (self._weight_vjp_peak(64, kernel, channels)
+                     - self._weight_vjp_peak(4, kernel, channels))
+            assert grown < 2 * product
+            monkeypatch.setattr(ad, "_PRODUCTS_BYTES", 4 * product)  # rounds of 4 samples
+            # 4 products, weights, scratch, g
+            assert self._weight_vjp_peak(64, kernel, channels) < 8 * product
 
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 3)  # more slices than this host may have cores

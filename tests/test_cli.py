@@ -174,6 +174,23 @@ class TestGenData:
 
 
 class TestPipelineCommands:
+    @pytest.mark.parametrize("command,args", [
+        ("pretrain", ["--data", "pre.rds", "--run-dir", "run"]),
+        ("probe", ["--checkpoint", "enc.ckpt", "--data", "down.rds", "--run-dir", "run"]),
+        ("finetune", ["--checkpoint", "enc.ckpt", "--data", "down.rds", "--run-dir", "run"]),
+        ("score2", ["--input", "meta.csv"]),
+        ("gradcheck", []),
+    ])
+    def test_negative_seed_exit_2(self, runner, tmp_path, command, args):
+        """A negative seed is refused before any input is read or file written."""
+        args = [str(tmp_path / a) if a.endswith((".rds", ".ckpt", ".csv", "run")) else a
+                for a in args]
+        result = runner.invoke(main, [command, *args, "--seed", "-5"])
+        assert result.exit_code == 2, result.output
+        assert "seed" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "run").exists()
+
     def test_pretrain_probe_finetune_ablate(self, runner, small_data, tmp_path):
         run = tmp_path / "run"
         result = runner.invoke(main, [

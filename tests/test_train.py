@@ -1,6 +1,8 @@
 """Optimizer laws, schedules, loop mechanics, resume, and probe contracts."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -397,3 +399,13 @@ class TestAblate:
         ablate(prep, TINY, tr, va, te, fast_cfg(epochs=1),
                DownstreamConfig(task="binary", epochs=1, seed=1), variants=variants)
         assert calls == {"bank": 1, "downstream": 3}
+
+    def test_seconds_ignore_a_wall_clock_step(self, tiny_world, monkeypatch):
+        """``seconds`` comes from a monotonic clock: a wall clock that steps
+        back while a variant runs does not make it wrong or negative."""
+        prep, (tr, va, te) = tiny_world
+        wall = itertools.count(2e9, -3600.0)  # an hour back at every read
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        rows = ablate(prep, TINY, tr, va, te, fast_cfg(epochs=1),
+                      DownstreamConfig(task="binary", epochs=1, seed=1), variants=(LossSpec("nce"),))
+        assert rows[0]["seconds"] >= 0
