@@ -24,12 +24,22 @@ Design notes:
     OPENBLAS_NUM_THREADS is set. A ``_parallel`` job runs numpy only: no op,
     ``_make_out`` or tape.
 
+  * Saved arrays, as in PyTorch (Paszke et al., arXiv 1912.01703): an
+    array outlives the forward pass only if a VJP reads it. The tape holds
+    each op's VJP and a gradient handle (``_handle``) for its output, which
+    holds no array; every other activation is freed as soon as the forward
+    pass moves on.
+
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
 then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
-gradient of the output and returns ``(input, grad)`` pairs, each ``grad``
-shaped like its input; it may skip inputs that do not require gradients.
-A VJP that needs the output reads ``data`` from its closure, and neither
-the op nor its VJP writes to another op's arrays in place.
+gradient of the output and returns ``(handle, grad)`` pairs, each ``grad``
+shaped like the input whose ``_handle`` it names; it may skip inputs that
+do not require gradients. Its closure captures only the handles of the
+inputs that require gradients (``_handles``, taken when the op runs),
+shapes, and the arrays it reads; never an input ``Tensor``, which would
+keep an op output's array alive until backward (a leaf is its own
+handle). A VJP that needs the output reads ``data`` from its closure, and
+neither the op nor its VJP writes to another op's arrays in place.
 """
 
 from __future__ import annotations
@@ -62,10 +72,11 @@ class Tensor:
     Storage is float64 by default; float32 arrays are kept as-is (the
     optional 32-bit storage mode — reductions still accumulate in 64-bit).
     ``requires_grad`` marks leaves (parameters, watched inputs). Tensors
-    produced by ops inherit the flag whenever a tape is recording.
+    produced by ops inherit the flag whenever a tape is recording, and then
+    carry the ``_Node`` the tape knows them by.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_node")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data)
@@ -75,6 +86,7 @@ class Tensor:
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self.name = name
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,7 +100,30 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
 
-VJP = Callable[[Array], list[tuple[Tensor, Array]]]
+class _Node:
+    """Gradient handle of a tracked op output. It holds no array and no
+    reference, so the output's array is freed once no VJP reads it, and
+    nothing refers back to the output."""
+
+    __slots__ = ()
+
+
+Handle = Tensor | _Node
+
+
+def _handle(t: Tensor) -> Handle:
+    """``t``'s gradient handle: the ``_Node`` of a tracked op output, else
+    ``t`` itself (a leaf, so leaves need no extra object)."""
+    return t if t._node is None else t._node
+
+
+def _handles(*tensors: Tensor | None) -> list[Handle | None]:
+    """The handle of each of ``tensors`` that requires gradients, else None
+    (also for a None in place of an optional input)."""
+    return [_handle(t) if t is not None and t.requires_grad else None for t in tensors]
+
+
+VJP = Callable[[Array], list[tuple[Handle, Array]]]
 
 
 class _TapeStack(threading.local):
@@ -108,7 +143,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, VJP]] = []  # (output, its VJP)
+        self._nodes: list[tuple[_Node, VJP]] = []  # (output's handle, its VJP)
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -125,9 +160,13 @@ class Tape:
     def backward(self, output: Tensor) -> None:
         """Accumulate d(output)/d(leaf) into ``leaf.grad`` for all leaves.
 
-        ``output`` must be scalar (size 1); its seed gradient is 1. Each
-        node leaves the tape once its VJP has run, so the arrays that only
-        the tape kept alive are freed while the pass goes on.
+        ``output`` must be scalar (size 1); its seed gradient is 1. The sums
+        are keyed by handle. ``.grad`` is written only onto leaves whose
+        ``requires_grad`` is set when backward runs, so an op output's
+        ``.grad`` stays None, also for one that another (outer) tape
+        recorded: its gradient stops there. Each node leaves the tape once
+        its VJP has run, so the arrays only that VJP read are freed while
+        the pass goes on.
         """
         if output.data.size != 1:
             raise AutodiffError(f"backward requires a scalar output, got shape {output.data.shape}")
@@ -135,31 +174,26 @@ class Tape:
             raise AutodiffError("tape already consumed by backward; call reset() to reuse")
         self._spent = True
 
-        # grads maps tensor id -> [array, owned]; the first contribution is
+        # grads maps handle -> [array, owned]; the first contribution is
         # stored as-is (it may alias an array shared with another consumer),
         # later ones allocate once and then accumulate in place, both split
         # over the CPUs (see _ufunc).
-        grads: dict[int, list] = {id(output): [np.ones_like(output.data), True]}
-        tensors: dict[int, Tensor] = {id(output): output}
+        grads: dict[Handle, list] = {_handle(output): [np.ones_like(output.data), True]}
         nodes = self._nodes
         while nodes:
-            out, vjp = nodes.pop()
-            slot = grads.pop(id(out), None)
-            tensors.pop(id(out), None)
+            node, vjp = nodes.pop()
+            slot = grads.pop(node, None)
             if slot is None:
                 continue  # this intermediate does not influence the output
-            for tensor, contrib in vjp(slot[0]):
-                key = id(tensor)
-                seen = grads.get(key)
+            for handle, contrib in vjp(slot[0]):
+                seen = grads.get(handle)
                 if seen is None:
-                    grads[key] = [contrib, False]
-                    tensors[key] = tensor
+                    grads[handle] = [contrib, False]
                 else:  # a numpy scalar sum is immutable, so never owned
                     seen[0] = _ufunc(np.add, seen[0], contrib, out=seen[0] if seen[1] else None)
                     seen[1] = isinstance(seen[0], np.ndarray)
-        for key, (g, _) in grads.items():
-            leaf = tensors[key]
-            if leaf.requires_grad:
+        for leaf, (g, _) in grads.items():
+            if isinstance(leaf, Tensor) and leaf.requires_grad:
                 leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
@@ -176,7 +210,8 @@ def _make_out(data: Array, inputs: Sequence[Tensor], vjp: VJP) -> Tensor:
     tracked = bool(tapes) and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=tracked)
     if tracked:
-        tapes[-1]._nodes.append((out, vjp))
+        out._node = _Node()
+        tapes[-1]._nodes.append((out._node, vjp))
     return out
 
 
@@ -290,14 +325,15 @@ def _channels_inner(*arrays: Array) -> bool:
 # elementwise ops
 
 
-def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
+def _binary(a, b, forward, grad_a, grad_b, reads_other: bool = False) -> Tensor:
     """Broadcasting elementwise op: the ufunc ``forward`` of ``a`` and ``b``,
     split over the CPUs when both are arrays of one shape (see ``_ufunc``).
 
     A Python number ``b`` stays a raw float, so numpy's weak promotion keeps
     float32 storage, and only ``a`` is recorded as an input; an array ``b``
     is cast to ``a``'s dtype. ``grad_a(g, b)`` and ``grad_b(g, a)`` map the
-    output gradient to each operand's before unbroadcasting.
+    output gradient to each operand's before unbroadcasting; the VJP keeps
+    the other operand's data only when ``reads_other`` says they read it.
     """
     a = _as_tensor(a)
     if isinstance(b, (int, float)):
@@ -307,10 +343,12 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
         b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
         bv = b.data
         operands = ((a, grad_a, bv), (b, grad_b, a.data))
+    saved = [(_handle(t), grad, other if reads_other else None, t.data.shape)
+             for t, grad, other in operands if t.requires_grad]
 
     def vjp(g):
-        return [(t, _unbroadcast(grad(g, other), t.data.shape))
-                for t, grad, other in operands if t.requires_grad]
+        return [(handle, _unbroadcast(grad(g, other), shape))
+                for handle, grad, other, shape in saved]
 
     return _make_out(_ufunc(forward, a.data, bv), [t for t, _, _ in operands], vjp)
 
@@ -325,7 +363,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     """Elementwise (and broadcast) multiply; covers scalar and mask scaling."""
-    return _binary(a, b, np.multiply, _multiply, _multiply)
+    return _binary(a, b, np.multiply, _multiply, _multiply, reads_other=True)
 
 
 def _multiply(g: Array, other) -> Array:
@@ -334,29 +372,31 @@ def _multiply(g: Array, other) -> Array:
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    return _make_out(a.data * a.data, (a,), lambda g: [(a, g * (2.0 * a.data))])
+    x, ha = a.data, _handle(a)
+    return _make_out(x * x, (a,), lambda g: [(ha, g * (2.0 * x))])
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
-    data = np.exp(a.data)
-    return _make_out(data, (a,), lambda g: [(a, g * data)])
+    data, ha = np.exp(a.data), _handle(a)
+    return _make_out(data, (a,), lambda g: [(ha, g * data)])
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _make_out(np.log(a.data), (a,), lambda g: [(a, g / a.data)])
+    x, ha = a.data, _handle(a)
+    return _make_out(np.log(x), (a,), lambda g: [(ha, g / x)])
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    data = _sigmoid_stable(a.data)
+    data, ha = _sigmoid_stable(a.data), _handle(a)
 
     def vjp(g):
         da = 1.0 - data
         da *= data
         da *= g
-        return [(a, da)]
+        return [(ha, da)]
 
     return _make_out(data, (a,), vjp)
 
@@ -368,7 +408,7 @@ def swish(a) -> Tensor:
     the VJP reads (s, y) and not the input.
     """
     a = _as_tensor(a)
-    x = a.data.reshape(-1)
+    x, shape, ha = a.data.reshape(-1), a.data.shape, _handle(a)
     s = np.empty_like(x)
     data = np.empty_like(x)
 
@@ -390,9 +430,9 @@ def swish(a) -> Tensor:
             d *= g[sl]
 
         _elementwise(g.size, slice_vjp)
-        return [(a, da.reshape(a.data.shape))]
+        return [(ha, da.reshape(shape))]
 
-    return _make_out(data.reshape(a.data.shape), (a,), vjp)
+    return _make_out(data.reshape(shape), (a,), vjp)
 
 
 def gate(h, gate) -> Tensor:
@@ -402,14 +442,15 @@ def gate(h, gate) -> Tensor:
     if h.data.ndim != 3 or gate.data.shape != (h.data.shape[0], h.data.shape[2]):
         raise AutodiffError(f"gate expects h (B,L,C) and gate (B,C), got {h.data.shape} "
                             f"and {gate.data.shape}")
-    hd = h.data
+    hd, gate_shape = h.data, gate.data.shape
     scale = (1.0 + gate.data)[:, None, :]
     data = np.empty(hd.shape, dtype=np.result_type(hd, scale))
     _parallel(len(hd), lambda lo, hi: np.multiply(hd[lo:hi], scale[lo:hi], out=data[lo:hi]))
+    handles = _handles(h, gate)
 
     def vjp(g):
         dh = np.empty(g.shape, np.result_type(g, scale))
-        dgate = np.empty(gate.data.shape, np.result_type(g, hd))
+        dgate = np.empty(gate_shape, np.result_type(g, hd))
         per_sample = _channels_inner(g, hd)
 
         def slice_vjp(lo, hi):
@@ -420,22 +461,23 @@ def gate(h, gate) -> Tensor:
         _parallel(len(g), slice_vjp)
         if not per_sample:
             dgate = np.einsum("blc,blc->bc", g, hd)
-        return [(t, d) for t, d in ((h, dh), (gate, dgate)) if t.requires_grad]
+        return [(t, d) for t, d in zip(handles, (dh, dgate)) if t is not None]
 
     return _make_out(data, (h, gate), vjp)
 
 
 def abs_(a) -> Tensor:
     a = _as_tensor(a)
-    return _make_out(np.abs(a.data), (a,), lambda g: [(a, g * np.sign(a.data))])
+    x, ha = a.data, _handle(a)
+    return _make_out(np.abs(x), (a,), lambda g: [(ha, g * np.sign(x))])
 
 
 def softplus(a) -> Tensor:
     """log(1 + exp(x)), computed stably; adjoint is sigmoid(x)."""
     a = _as_tensor(a)
-    x = a.data
+    x, ha = a.data, _handle(a)
     data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return _make_out(data, (a,), lambda g: [(a, g * _sigmoid_stable(x))])
+    return _make_out(data, (a,), lambda g: [(ha, g * _sigmoid_stable(x))])
 
 
 def _sigmoid_stable(x: Array, out: Array | None = None) -> Array:
@@ -456,15 +498,16 @@ def _sigmoid_stable(x: Array, out: Array | None = None) -> Array:
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
-    old = a.data.shape
-    return _make_out(a.data.reshape(shape), (a,), lambda g: [(a, g.reshape(old))])
+    old, ha = a.data.shape, _handle(a)
+    return _make_out(a.data.reshape(shape), (a,), lambda g: [(ha, g.reshape(old))])
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise AutodiffError("transpose expects a 2-D tensor")
-    return _make_out(a.data.T.copy(), (a,), lambda g: [(a, g.T)])
+    ha = _handle(a)
+    return _make_out(a.data.T.copy(), (a,), lambda g: [(ha, g.T)])
 
 
 def _reduce(a, axis: int | None, fn) -> Tensor:
@@ -486,17 +529,18 @@ def _reduce(a, axis: int | None, fn) -> Tensor:
     else:
         data = fn(x, axis=axis, **wide).astype(x.dtype, copy=False)
     count = 1 if fn is np.sum else x.size if axis is None else x.shape[axis]
+    shape, ha = x.shape, _handle(a)
 
     def vjp(g):
         g = g / count
         if axis is not None:
             g = np.expand_dims(g, axis)
-        grad = np.empty(x.shape, dtype=g.dtype)
+        grad = np.empty(shape, dtype=g.dtype)
         if per_sample:
-            _parallel(len(x), lambda lo, hi: np.copyto(grad[lo:hi], g[lo:hi]))
+            _parallel(len(grad), lambda lo, hi: np.copyto(grad[lo:hi], g[lo:hi]))
         else:
             np.copyto(grad, g)
-        return [(a, grad)]
+        return [(ha, grad)]
 
     return _make_out(data, (a,), vjp)
 
@@ -522,21 +566,23 @@ def _affine(x, w, b) -> Tensor:
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise AutodiffError("dense/matmul expect 2-D tensors")
-    data = x.data @ w.data
+    xd, wd = x.data, w.data
+    data = xd @ wd
     inputs = [x, w]
     if b is not None:
         b = _as_tensor(b)
         data = data + b.data
         inputs.append(b)
+    hx, hw, hb = _handles(x, w, b)
 
     def vjp(g):
         pairs = []
-        if x.requires_grad:
-            pairs.append((x, g @ w.data.T))
-        if w.requires_grad:
-            pairs.append((w, x.data.T @ g))
-        if b is not None and b.requires_grad:
-            pairs.append((b, g.sum(axis=0)))
+        if hx is not None:
+            pairs.append((hx, g @ wd.T))
+        if hw is not None:
+            pairs.append((hw, xd.T @ g))
+        if hb is not None:
+            pairs.append((hb, g.sum(axis=0)))
         return pairs
 
     return _make_out(data, inputs, vjp)
@@ -553,11 +599,11 @@ def row_l2_normalize(a) -> Tensor:
     norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
     if np.any(norms <= 0.0):
         raise AutodiffError("zero row passed to row_l2_normalize (degenerate embedding)")
-    data = a.data / norms
+    data, ha = a.data / norms, _handle(a)
 
     def vjp(g):
         dot = (g * data).sum(axis=1, keepdims=True)
-        return [(a, (g - data * dot) / norms)]
+        return [(ha, (g - data * dot) / norms)]
 
     return _make_out(data, (a,), vjp)
 
@@ -734,18 +780,19 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
         inputs.append(b)
     data = np.empty((batch, out_len, c_out), dtype=xd.dtype)
     _correlate(xd, w2, data, kernel, stride, pad_l, 0, bias)
+    hx, hw, hb = _handles(x, w, b)
 
     def vjp(g):
-        want_w, want_b = w.requires_grad, b is not None and b.requires_grad
-        if want_w or want_b:
-            dw2, db = _conv1d_param_grads(xd, g, w2, kernel, stride, pad_l, want_w, want_b)
+        if hw is not None or hb is not None:
+            dw2, db = _conv1d_param_grads(xd, g, w2, kernel, stride, pad_l,
+                                          hw is not None, hb is not None)
         pairs = []
-        if want_w:
-            pairs.append((w, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
-        if x.requires_grad:
-            pairs.append((x, _conv1d_input_grad(g, w2, kernel, stride, length, pad_l)))
-        if want_b:
-            pairs.append((b, db))
+        if hw is not None:
+            pairs.append((hw, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
+        if hx is not None:
+            pairs.append((hx, _conv1d_input_grad(g, w2, kernel, stride, length, pad_l)))
+        if hb is not None:
+            pairs.append((hb, db))
         return pairs
 
     return _make_out(data, inputs, vjp)

@@ -21,12 +21,13 @@ import os
 import sys
 from pathlib import Path
 
+from riskclr import BLAS_THREAD_VARS
+
 # One BLAS thread unless the user chose a count, set before numpy loads: the
 # encoder already splits its batches over the CPUs, and OpenBLAS would
 # otherwise size its pool from the affinity (see riskclr.autodiff).
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-if not any(var in os.environ for var in _BLAS_THREAD_VARS):
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 import click
 import numpy as np
@@ -207,7 +208,8 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
     """Contrastive pretraining; writes best/last checkpoints and metrics.csv."""
     from riskclr.data import Dataset
     from riskclr.encoder import build
-    from riskclr.train import NanLossError, PreparedPretrain, PretrainConfig, ResumeError, pretrain
+    from riskclr.train import (NanLossError, PreparedPretrain, PretrainConfig, ResumeError,
+                               host_conditions, pretrain)
 
     section = _load_config_file(config_path, "pretrain").get("pretrain", {})
     cfg = _dataclass_from(section, PretrainConfig,
@@ -216,7 +218,7 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
     ds = _load_dataset(data_path, Dataset)
     run = Path(run_dir)
     _echo_config(run, {"pretrain": dataclasses.asdict(cfg), "encoder": dataclasses.asdict(enc_cfg),
-                       "dataset_hash": ds.content_hash()})
+                       "dataset_hash": ds.content_hash(), "host": host_conditions()})
     prep = PreparedPretrain.from_dataset(ds, seed=cfg.seed,
                                          deterministic_impute=cfg.deterministic_impute)
     encoder = build(enc_cfg, seed=cfg.seed, dtype=np.dtype(cfg.dtype))

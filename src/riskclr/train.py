@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from . import autodiff as ad
 from . import container
 from .autodiff import Tape, Tensor
@@ -280,6 +281,19 @@ def _iter_batches(order: np.ndarray, batch_size: int):
             yield chunk
 
 
+def host_conditions() -> dict:
+    """What a run's bits depend on beyond its config and seed: the BLAS
+    thread variables, the BLAS build numpy reports, numpy's version and the
+    CPUs the encoder splits its batches over (see riskclr.autodiff)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 reports no dict
+        blas = {}
+    return {"blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "numpy": np.__version__, "cpus": ad._WORKERS}
+
+
 def pretrain(
     prep: PreparedPretrain,
     encoder: Encoder,
@@ -304,7 +318,8 @@ def pretrain(
     ``PretrainResult.history`` holds only this call's epochs. It also carries
     ``cfg``, and resuming under another ``cfg`` or encoder, or from a config
     with a field this version lacks, raises ``ResumeError`` naming the first
-    field that differs.
+    field that differs. Its meta also records ``host_conditions()`` under
+    ``host``, outside ``config``: resuming on another host is not refused.
     """
     if bank is None:
         bank = NoiseBank.synthetic(fs=prep.fs, seed=cfg.seed)
@@ -326,6 +341,7 @@ def pretrain(
     history: list[dict] = []
     earlier: list[dict] = []  # epochs of the sessions this one resumes
     config = json.loads(json.dumps(asdict(cfg), default=lambda v: v.item()))  # as meta stores it
+    host = host_conditions()
 
     if resume_from is not None:
         enc2, extra, meta = load_checkpoint(resume_from)
@@ -408,7 +424,8 @@ def pretrain(
             save_checkpoint(run_path / "last.ckpt", encoder, extra=extra,
                             meta={"next_epoch": epoch + 1, "best_val": best_val,
                                   "best_epoch": best_epoch, "bad_epochs": bad_epochs,
-                                  "history": earlier + history, "config": config})
+                                  "history": earlier + history, "config": config,
+                                  "host": host})
             container.write_csv(run_path / "metrics.csv",
                                 ("epoch", "lr", "train_loss", "val_loss"), earlier + history)
 

@@ -1,6 +1,7 @@
 """Adjoint correctness for every op, tape semantics, and bit-identical
 results for any number of batch slices."""
 
+import gc
 import math
 import os
 import subprocess
@@ -315,6 +316,33 @@ class TestBackwardSemantics:
         tape.backward(loss)
         assert kept() is None
         np.testing.assert_allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_op_output_grad_stays_none(self):
+        x = ad.parameter(RNG.normal(size=(3,)))
+        with Tape() as tape:
+            y = ad.exp(x)
+            loss = ad.sum_(ad.square(y))
+        tape.backward(loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_gradient_stops_at_an_outer_tapes_output(self):
+        x = ad.parameter(RNG.normal(size=(3,)))
+        with Tape():
+            y = ad.exp(x)
+            with Tape() as inner:
+                loss = ad.sum_(ad.square(y))
+        inner.backward(loss)
+        assert y.grad is None and x.grad is None
+
+    def test_leaf_unwatched_after_forward_gets_no_grad(self):
+        x, w = ad.parameter(RNG.normal(size=(3,))), ad.parameter(RNG.normal(size=(3,)))
+        with Tape() as tape:
+            loss = ad.sum_(ad.mul(x, w))
+        w.requires_grad = False
+        tape.backward(loss)
+        assert w.grad is None
+        np.testing.assert_array_equal(x.grad, w.data)
 
     def test_no_tape_records_nothing(self):
         x = ad.parameter(np.array([2.0]))
@@ -751,3 +779,120 @@ class TestWorkerCount:
             runs[cpus] = ((run / "metrics.csv").read_bytes(),
                           {k: v.tobytes() for k, v in params.items()})
         assert runs["one"] == runs["all"]
+
+
+def _captured(fn):
+    """Every object a function's closure holds, also inside the tuples and
+    lists it holds and the closures of the functions it holds."""
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+
+
+def _channels_read_by_vjps(config) -> int:
+    """Channels of the full-size (B, L, C) arrays that the VJPs of an
+    encoder forward read: each swish keeps s and y; a block after the first
+    of its stage reads its input (the last block's sum) in conv1; a gated
+    stage's gate keeps its input, and its output is the next stage's conv
+    input. Conv outputs and the last stage's sums are read by no VJP."""
+    channels = 2 * config.hidden_dim  # the stem's swish
+    for si, (ch, blocks) in enumerate(config.stages):
+        channels += blocks * 2 * 2 * config.stage_width(ch) + (blocks - 1) * ch
+        if si < len(config.stages) - 1:
+            channels += 2 * ch
+    return channels
+
+
+class TestHeldArrays:
+    """Between an encoder's forward and backward passes the tape keeps only
+    the arrays some VJP reads. With one CPU every slice runs inline, and
+    with more they go through the pool, so both paths are covered."""
+
+    @staticmethod
+    def _tiny(batch, t):
+        from riskclr.encoder import STANDARD_CONFIGS, build
+
+        config = STANDARD_CONFIGS["tiny"]
+        x = np.random.default_rng(batch).normal(size=(batch, t)).astype(np.float32)
+        return config, build(config, seed=0, dtype=np.float32), x
+
+    def test_unread_activations_freed_before_backward(self, monkeypatch):
+        _, enc, x = self._tiny(4, 1000)
+        convs, means = {}, []
+        conv1d, mean = ad.conv1d, ad.mean
+
+        def spy_conv1d(x, w, *args, **kwargs):
+            out = conv1d(x, w, *args, **kwargs)
+            convs[w.name] = weakref.ref(out.data)
+            return out
+
+        def spy_mean(a, axis=None):
+            means.append(weakref.ref(a.data))
+            return mean(a, axis)
+
+        monkeypatch.setattr(ad, "conv1d", spy_conv1d)
+        monkeypatch.setattr(ad, "mean", spy_mean)
+        with Tape() as tape:
+            z = enc.forward(x)
+            loss = ad.sum_(z)
+        # stem, conv1 and conv2 feed a swish; conv3 and proj the residual add
+        assert {name.split(".")[-2] for name in convs} == {"stem", "conv1", "conv2", "conv3", "proj"}
+        assert [name for name, ref in convs.items() if ref() is not None] == []
+        assert means[-1]() is None  # the last stage's output, which only its mean read
+        assert means[0]() is not None  # the first stage's, which its gate reads
+        tape.backward(loss)
+        assert all(p.grad is not None for p in enc.params.values())
+
+    def test_no_vjp_holds_an_op_output(self):
+        _, enc, x = self._tiny(2, 200)
+        with Tape() as tape:
+            enc.forward(x)
+        held = [obj for _, vjp in tape._nodes for obj in _captured(vjp)]
+        params = {id(p) for p in enc.params.values()}
+        # the only leaves that need gradients are the parameters
+        assert [t for t in held if isinstance(t, Tensor) and id(t) not in params] == []
+        assert {id(t) for t in held if isinstance(t, Tensor)} == params
+        assert any(isinstance(obj, ad._Node) for obj in held)
+
+    def test_bytes_held_after_forward(self):
+        from riskclr.encoder import STEM_STRIDE
+
+        config, enc, x = self._tiny(16, 5000)
+        enc.forward(x)  # builds the pool outside the count
+        tracemalloc.start()
+        try:
+            with Tape():
+                enc.forward(x)
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        channel = x.shape[0] * -(-x.shape[1] // STEM_STRIDE) * x.itemsize  # one (B, L) float32 slab
+        read = _channels_read_by_vjps(config) * channel
+        # one more full-size array, even the narrowest, is too many
+        narrowest = min(config.stage_width(ch) for ch, _ in config.stages) * channel
+        assert read <= held < read + narrowest
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_dropped_encoder_freed_by_refcount(self, backward):
+        """No reference cycle: a leaf is its own handle, and an op output's
+        handle refers to nothing."""
+        _, enc, x = self._tiny(2, 200)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                z = enc.forward(x)
+                loss = ad.sum_(z)
+            if backward:
+                tape.backward(loss)
+            refs = [weakref.ref(a) for p in enc.params.values()
+                    for a in (p.data, p.grad) if a is not None] + [weakref.ref(z.data)]
+            assert len(refs) == len(enc.params) * (1 + backward) + 1
+            del enc, tape, z, loss
+            assert [ref for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()

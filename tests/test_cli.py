@@ -201,6 +201,9 @@ class TestPipelineCommands:
         ckpt = run / "best.ckpt"
         assert ckpt.exists()
         assert (run / "metrics.csv").exists()
+        from riskclr.train import host_conditions
+
+        assert json.loads((run / "config.json").read_text())["host"] == host_conditions()
 
         probe_dir = tmp_path / "probe"
         result = runner.invoke(main, [

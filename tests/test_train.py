@@ -175,6 +175,25 @@ class TestPretrainLoop:
             pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=3),
                      resume_from=tmp_path / "old.ckpt")
 
+    def test_last_checkpoint_records_the_host(self, tiny_world, tmp_path):
+        from riskclr import BLAS_THREAD_VARS
+        from riskclr.encoder import save_checkpoint
+        from riskclr.train import host_conditions
+
+        prep, _ = tiny_world
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                 run_dir=tmp_path, session_epochs=1)
+        enc, extra, meta = load_checkpoint(tmp_path / "last.ckpt")
+        host = meta["host"]
+        assert host == host_conditions() and "host" not in meta["config"]
+        assert set(host["blas_threads"]) == set(BLAS_THREAD_VARS)
+        assert host["numpy"] == np.__version__ and host["cpus"] == ad._WORKERS
+        # recorded only: a resume on another host is not refused
+        meta["host"] = dict(host, cpus=host["cpus"] + 1, blas_threads={})
+        save_checkpoint(tmp_path / "moved.ckpt", enc, extra=extra, meta=meta)
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                 resume_from=tmp_path / "moved.ckpt")
+
     def test_resume_refuses_a_checkpoint_without_config(self, tiny_world, tmp_path):
         from riskclr.train import ResumeError
 
