@@ -24,22 +24,18 @@ Design notes:
     OPENBLAS_NUM_THREADS is set. A ``_parallel`` job runs numpy only: no op,
     ``_make_out`` or tape.
 
-  * Saved arrays, as in PyTorch (Paszke et al., arXiv 1912.01703): an
-    array outlives the forward pass only if a VJP reads it. The tape holds
-    each op's VJP and a gradient handle (``_handle``) for its output, which
-    holds no array; every other activation is freed as soon as the forward
-    pass moves on.
-
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
 then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
 gradient of the output and returns ``(handle, grad)`` pairs, each ``grad``
 shaped like the input whose ``_handle`` it names; it may skip inputs that
 do not require gradients. Its closure captures only the handles of the
 inputs that require gradients (``_handles``, taken when the op runs),
-shapes, and the arrays it reads; never an input ``Tensor``, which would
-keep an op output's array alive until backward (a leaf is its own
-handle). A VJP that needs the output reads ``data`` from its closure, and
-neither the op nor its VJP writes to another op's arrays in place.
+shapes, and the arrays it reads; the only ``Tensor`` it holds is a leaf,
+which is its own handle. The tape holds an output's handle, not its
+array, so an array outlives the forward pass only if a VJP reads it, as
+with PyTorch's saved tensors (Paszke et al., arXiv 1912.01703). A VJP
+that needs the output reads ``data`` from its closure, and neither the op
+nor its VJP writes to another op's arrays in place.
 """
 
 from __future__ import annotations
