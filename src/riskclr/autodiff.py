@@ -16,12 +16,12 @@ Design notes:
     same-shape ``add``, ``sub`` and ``mul`` by blocks of elements,
     ``mean`` and ``sum_`` over the time axis by samples, forward and VJP,
     and so do the gradient sums in ``Tape.backward``. Each slice runs the
-    numpy calls one worker would, on the same rows and in the same order;
-    only ``conv1d``'s per-sample weight products and bias sums are added
-    across samples, in the calling thread, in sample order. Results are
-    therefore bit-identical for any CPU count, provided the BLAS thread
-    count is fixed: OpenBLAS sizes its own pool from the CPU affinity unless
-    OPENBLAS_NUM_THREADS is set. A ``_parallel`` job runs numpy only: no op,
+    numpy calls one worker would, on the same rows and in the same order, or
+    one call per sample; only ``conv1d``'s per-sample weight products and
+    bias sums are added across samples, in the calling thread, in sample
+    order. Results are therefore bit-identical for any CPU count, provided
+    the BLAS thread count is fixed: OpenBLAS sizes its own pool from the CPU
+    affinity unless OPENBLAS_NUM_THREADS is set. A ``_parallel`` job runs numpy only: no op,
     ``_make_out`` or tape.
 
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
@@ -133,9 +133,9 @@ _open_tapes = _TapeStack()
 class Tape:
     """Ordered op record for one forward/backward pair.
 
-    A tape is single-use: ``backward`` may run once unless ``reset`` is
-    called. Tapes are confined to the thread that opened them; separate
-    threads may run separate tapes concurrently.
+    A tape is single-use: ``backward`` may run once. Tapes are confined to
+    the thread that opened them; separate threads may run separate tapes
+    concurrently.
     """
 
     def __init__(self):
@@ -148,10 +148,6 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _open_tapes.tapes.pop()
-
-    def reset(self) -> None:
-        self._nodes.clear()
-        self._spent = False
 
     def backward(self, output: Tensor) -> None:
         """Accumulate d(output)/d(leaf) into ``leaf.grad`` for all leaves.
@@ -167,7 +163,7 @@ class Tape:
         if output.data.size != 1:
             raise AutodiffError(f"backward requires a scalar output, got shape {output.data.shape}")
         if self._spent:
-            raise AutodiffError("tape already consumed by backward; call reset() to reuse")
+            raise AutodiffError("tape already consumed by backward")
         self._spent = True
 
         # grads maps handle -> [array, owned]; the first contribution is
@@ -209,19 +205,6 @@ def _make_out(data: Array, inputs: Sequence[Tensor], vjp: VJP) -> Tensor:
         out._node = _Node()
         tapes[-1]._nodes.append((out._node, vjp))
     return out
-
-
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum gradient ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +280,8 @@ def _elementwise(size: int, fn: Callable[[slice], None]) -> None:
 def _ufunc(fn, a: Array, b, out: Array | None = None):
     """``fn(a, b, out=out)`` for a numpy ufunc ``fn``. Two C-contiguous
     arrays of one shape and at least two ``_BLOCK``s run over
-    ``_elementwise`` slices; anything else (a Python number, broadcasting,
-    a small or strided array) runs as the one call."""
+    ``_elementwise`` slices; anything else (a Python number, a small or
+    strided array) runs as the one call."""
     if not (isinstance(b, np.ndarray) and a.shape == b.shape and a.size >= 2 * _BLOCK
             and all(v.flags.c_contiguous for v in (a, b, a if out is None else out))):
         return fn(a, b, out=out)
@@ -309,42 +292,37 @@ def _ufunc(fn, a: Array, b, out: Array | None = None):
     return out
 
 
-def _channels_inner(*arrays: Array) -> bool:
-    """True when every array is C-contiguous (B, L, C) with C > 1. numpy's
-    inner loop then runs over channels, so a sum over L adds each sample's
-    rows in order and a batch slice gives the whole call's bits; with one
-    channel, einsum sums L in buffer-sized chunks that may span samples."""
-    return all(v.ndim == 3 and v.shape[2] > 1 and v.flags.c_contiguous for v in arrays)
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 
 
 def _binary(a, b, forward, grad_a, grad_b, reads_other: bool = False) -> Tensor:
-    """Broadcasting elementwise op: the ufunc ``forward`` of ``a`` and ``b``,
-    split over the CPUs when both are arrays of one shape (see ``_ufunc``).
+    """Elementwise op: the ufunc ``forward`` of ``a`` and ``b``, a number or
+    an operand of ``a``'s shape (any other raises ``AutodiffError``), split
+    over the CPUs when both are arrays (see ``_ufunc``).
 
-    A Python number ``b`` stays a raw float, so numpy's weak promotion keeps
-    float32 storage, and only ``a`` is recorded as an input; an array ``b``
-    is cast to ``a``'s dtype. ``grad_a(g, b)`` and ``grad_b(g, a)`` map the
-    output gradient to each operand's before unbroadcasting; the VJP keeps
-    the other operand's data only when ``reads_other`` says they read it.
+    A number ``b``, numpy scalars included, becomes a Python float, so
+    numpy's weak promotion keeps float32 storage, and only ``a`` is an
+    input; an array ``b`` is cast to ``a``'s dtype. ``grad_a(g, b)`` and
+    ``grad_b(g, a)`` map the output gradient to each operand's; the VJP
+    keeps the other operand's data only when ``reads_other`` says so.
     """
     a = _as_tensor(a)
-    if isinstance(b, (int, float)):
+    if not isinstance(b, Tensor) and np.ndim(b) == 0:
         bv = float(b)
         operands = ((a, grad_a, bv),)
     else:
         b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
+        if b.data.shape != a.data.shape:
+            raise AutodiffError(f"elementwise operands must be a number or of one shape, "
+                                f"got {a.data.shape} and {b.data.shape}")
         bv = b.data
         operands = ((a, grad_a, bv), (b, grad_b, a.data))
-    saved = [(_handle(t), grad, other if reads_other else None, t.data.shape)
+    saved = [(_handle(t), grad, other if reads_other else None)
              for t, grad, other in operands if t.requires_grad]
 
     def vjp(g):
-        return [(handle, _unbroadcast(grad(g, other), shape))
-                for handle, grad, other, shape in saved]
+        return [(handle, grad(g, other)) for handle, grad, other in saved]
 
     return _make_out(_ufunc(forward, a.data, bv), [t for t, _, _ in operands], vjp)
 
@@ -358,7 +336,8 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise (and broadcast) multiply; covers scalar and mask scaling."""
+    """Elementwise multiply by a number or a same-shape operand; covers
+    scalar and mask scaling."""
     return _binary(a, b, np.multiply, _multiply, _multiply, reads_other=True)
 
 
@@ -433,7 +412,7 @@ def swish(a) -> Tensor:
 
 def gate(h, gate) -> Tensor:
     """Channel gating ``h + h * gate`` of ``h`` (B, L, C) by ``gate`` (B, C),
-    computed as ``h * (1 + gate)`` in one pass."""
+    computed as ``h * (1 + gate)`` in one pass; ``dgate`` is one einsum per sample."""
     h, gate = _as_tensor(h), _as_tensor(gate)
     if h.data.ndim != 3 or gate.data.shape != (h.data.shape[0], h.data.shape[2]):
         raise AutodiffError(f"gate expects h (B,L,C) and gate (B,C), got {h.data.shape} "
@@ -447,16 +426,13 @@ def gate(h, gate) -> Tensor:
     def vjp(g):
         dh = np.empty(g.shape, np.result_type(g, scale))
         dgate = np.empty(gate_shape, np.result_type(g, hd))
-        per_sample = _channels_inner(g, hd)
 
         def slice_vjp(lo, hi):
             np.multiply(g[lo:hi], scale[lo:hi], out=dh[lo:hi])
-            if per_sample:
-                np.einsum("blc,blc->bc", g[lo:hi], hd[lo:hi], out=dgate[lo:hi])
+            for i in range(lo, hi):
+                np.einsum("lc,lc->c", g[i], hd[i], out=dgate[i])
 
         _parallel(len(g), slice_vjp)
-        if not per_sample:
-            dgate = np.einsum("blc,blc->bc", g, hd)
         return [(t, d) for t, d in zip(handles, (dh, dgate)) if t is not None]
 
     return _make_out(data, (h, gate), vjp)
@@ -509,17 +485,18 @@ def transpose(a) -> Tensor:
 def _reduce(a, axis: int | None, fn) -> Tensor:
     """``np.sum`` or ``np.mean`` over ``axis`` (all axes when None);
     float32 storage accumulates in float64. Over the time axis of a (B, L,
-    C) array with channels inner (see ``_channels_inner``), the forward pass
-    and the VJP's fill split the batch over the CPUs."""
+    C) array, the forward pass (one call per sample) and the VJP's fill
+    split the batch over the CPUs."""
     a = _as_tensor(a)
     x = a.data
     wide = {"dtype": np.float64} if x.dtype == np.float32 else {}
-    per_sample = axis == 1 and _channels_inner(x)
+    per_sample = axis == 1 and x.ndim == 3
     if per_sample:
         data = np.empty((x.shape[0], x.shape[2]), dtype=x.dtype)
 
         def forward(lo, hi):
-            data[lo:hi] = fn(x[lo:hi], axis=1, **wide)  # rounds as astype does
+            for i in range(lo, hi):
+                data[i] = fn(x[i], axis=0, **wide)  # rounds as astype does
 
         _parallel(len(x), forward)
     else:
@@ -671,9 +648,9 @@ def _channel_sum(g: Array) -> Array:
 
 
 def _conv1d_param_grads(xd: Array, g: Array, w2: Array, kernel: int, stride: int, pad_l: int,
-                        weight: bool, bias: bool) -> tuple[Array | None, Array | None]:
-    """d(loss)/d(w2) and d(loss)/d(bias) for conv1d, each only when asked
-    for: the sums over samples of ``cols_i.T @ g_i``, with ``cols_i`` the
+                        bias: bool) -> tuple[Array, Array | None]:
+    """d(loss)/d(w2), and d(loss)/d(bias) when ``bias`` asks for it, for
+    conv1d: the sums over samples of ``cols_i.T @ g_i``, with ``cols_i`` the
     im2col columns of ``xd[i]``, and of ``g_i``'s float64 ``_channel_sum``.
 
     The batch runs in rounds: the slices write each sample's product and
@@ -685,26 +662,24 @@ def _conv1d_param_grads(xd: Array, g: Array, w2: Array, kernel: int, stride: int
     dtype = np.result_type(xd, g)
     step = max(_WORKERS, _PRODUCTS_BYTES // (w2.size * dtype.itemsize))
     rows = min(step, batch)
-    products = np.empty((rows,) + w2.shape, dtype=dtype) if weight else None
+    products = np.empty((rows,) + w2.shape, dtype=dtype)
     sums = np.empty((rows, g.shape[2])) if bias else None
     buffers = [_im2col_scratch(length, c_in, kernel, stride, pad_l, 0, g.shape[1], xd.dtype)
                for _ in range(min(_WORKERS, rows))]
-    dw2 = np.zeros_like(w2) if weight else None
+    dw2 = np.zeros_like(w2)
     db = np.zeros(g.shape[2]) if bias else None
     for start in range(0, batch, step):
         count = min(step, batch - start)
 
         def sample_sums(lo, hi, cols_of, start=start):
-            if weight:
-                for i in range(lo, hi):
-                    np.matmul(cols_of(xd[start + i]).T, g[start + i], out=products[i])
+            for i in range(lo, hi):
+                np.matmul(cols_of(xd[start + i]).T, g[start + i], out=products[i])
             if bias:
                 sums[lo:hi] = _channel_sum(g[start + lo : start + hi])
 
         _parallel(count, sample_sums, iter(buffers).__next__)  # reused each round
         for i in range(count):
-            if weight:
-                dw2 += products[i]
+            dw2 += products[i]
             if bias:
                 db += sums[i]
     return dw2, None if db is None else db.astype(g.dtype)
@@ -780,8 +755,7 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
 
     def vjp(g):
         if hw is not None or hb is not None:
-            dw2, db = _conv1d_param_grads(xd, g, w2, kernel, stride, pad_l,
-                                          hw is not None, hb is not None)
+            dw2, db = _conv1d_param_grads(xd, g, w2, kernel, stride, pad_l, hb is not None)
         pairs = []
         if hw is not None:
             pairs.append((hw, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
@@ -824,13 +798,12 @@ def grad_check(
     f: Callable[..., Tensor],
     points: Sequence[Array],
     eps: float = 1e-5,
-    floor: float = 1e-3,
 ) -> float:
     """Compare analytic gradients of ``f`` against central differences.
 
     ``f`` maps one Tensor per entry of ``points`` to a scalar Tensor. Every
     coordinate of every point is perturbed by ±eps; the worst relative error
-    ``|a - n| / max(|a|, |n|, floor)`` across coordinates is returned.
+    ``|a - n| / max(|a|, |n|, 1e-3)`` across coordinates is returned.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -853,7 +826,7 @@ def grad_check(
             flat[ci] = keep
             numeric = (hi - lo) / (2.0 * eps)
             a = analytic[pi].reshape(-1)[ci]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), floor)
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
             if err > worst:
                 worst = err
     return worst

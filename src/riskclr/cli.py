@@ -206,6 +206,7 @@ def _load_dataset(path: str, kind):
 @click.option("--resume", "resume_path", default=None, help="checkpoint to resume from")
 def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_size, lr, seed, resume_path):
     """Contrastive pretraining; writes best/last checkpoints and metrics.csv."""
+    from riskclr.container import DataFormatError
     from riskclr.data import Dataset
     from riskclr.encoder import build
     from riskclr.train import (NanLossError, PreparedPretrain, PretrainConfig, ResumeError,
@@ -215,6 +216,8 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
     cfg = _dataclass_from(section, PretrainConfig,
                           {"epochs": epochs, "batch_size": batch_size, "lr": lr, "seed": seed})
     enc_cfg = _encoder_config(encoder_name)
+    if resume_path is not None and not Path(resume_path).exists():
+        raise CliError(f"checkpoint not found: {resume_path}", EXIT_MISSING_INPUT)
     ds = _load_dataset(data_path, Dataset)
     run = Path(run_dir)
     _echo_config(run, {"pretrain": dataclasses.asdict(cfg), "encoder": dataclasses.asdict(enc_cfg),
@@ -228,6 +231,8 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
         raise CliError(str(exc), EXIT_NAN)
     except ResumeError as exc:
         raise CliError(f"cannot resume from {resume_path}: {exc}", EXIT_CONFIG)
+    except DataFormatError as exc:  # only the resume checkpoint is read here
+        raise CliError(f"cannot resume from {resume_path}: {exc}", EXIT_MISSING_INPUT)
     click.echo(f"best epoch {result.best_epoch} val_loss {result.best_val:.6f} "
                f"checkpoint {result.checkpoint_path}")
 
@@ -265,9 +270,9 @@ def _split_downstream(ds, raw: dict, config_path: str | None, seed: int):
 
 
 def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, finetune_mode):
-    from riskclr.container import write_csv
+    from riskclr.container import DataFormatError, write_csv
     from riskclr.data import DownstreamDataset
-    from riskclr.encoder import CheckpointError, load_checkpoint
+    from riskclr.encoder import load_checkpoint
     from riskclr.metrics import UndefinedMetricError
     from riskclr.train import DownstreamConfig, evaluate_head, finetune, linear_probe
 
@@ -277,7 +282,7 @@ def _probe_or_finetune(config_path, ckpt_path, data_path, run_dir, task, seed, f
         raise CliError(f"checkpoint not found: {ckpt_path}", EXIT_MISSING_INPUT)
     try:
         encoder, _, _ = load_checkpoint(ckpt_path)
-    except CheckpointError as exc:
+    except DataFormatError as exc:
         raise CliError(str(exc), EXIT_MISSING_INPUT)
     ds = _load_dataset(data_path, DownstreamDataset)
     tr, va, te = _split_downstream(ds, raw, config_path, cfg.seed)

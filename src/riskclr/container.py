@@ -7,8 +7,9 @@ the ``kind`` (``pretrain``, ``downstream`` or ``checkpoint``),
 the caller's ``fields``, and per array its name, little-endian dtype string
 and shape. Each array is stored C-ordered in its own dtype.
 
-Readers check the length, magic, checksum, version and kind in that order;
-files in the earlier per-kind framings are rejected, not converted.
+Readers check the length, magic, checksum, header shape, version, kind and
+array table in that order; files in the earlier per-kind framings are
+rejected, not converted.
 
 Every file riskclr writes, containers and CSV or JSON alike, goes through
 ``write_atomic``: a temp file in the target directory, flushed and fsynced,
@@ -21,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -34,7 +36,7 @@ _DIGEST_BYTES = 32
 
 
 class DataFormatError(IOError):
-    """Corrupt, truncated, wrong-version or wrong-kind container."""
+    """Corrupt, truncated, malformed, wrong-version or wrong-kind container."""
 
 
 def pack(kind: str, fields: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -80,24 +82,40 @@ def unpack(blob: bytes, *kinds: str) -> tuple[str, dict, dict[str, np.ndarray]]:
         header = json.loads(bytes(body[start:end]).decode("utf-8"))
     except ValueError as exc:
         raise DataFormatError(f"unreadable container header: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataFormatError("container header is not a JSON object")
     if header.get("version") != VERSION:
         raise DataFormatError(f"unsupported container version {header.get('version')!r}")
     if header.get("kind") not in kinds:
         raise DataFormatError(f"expected a {' or '.join(kinds)} container, "
                               f"found a {header.get('kind')!r} container")
+    fields, table = header.get("fields"), header.get("arrays")
+    if not isinstance(fields, dict) or not isinstance(table, list):
+        raise DataFormatError("container header needs a 'fields' object and an 'arrays' list")
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
+    for entry in table:
+        name, dtype, shape = _table_entry(entry)
+        count = math.prod(shape)
         if end + count * dtype.itemsize > len(body):
-            raise DataFormatError(f"array {entry['name']!r} runs past the payload")
-        arrays[entry["name"]] = np.frombuffer(body, dtype=dtype, count=count,
-                                              offset=end).reshape(shape)
+            raise DataFormatError(f"array {name!r} runs past the payload")
+        arrays[name] = np.frombuffer(body, dtype=dtype, count=count, offset=end).reshape(shape)
         end += count * dtype.itemsize
     if end != len(body):
         raise DataFormatError("array table does not match the payload size")
-    return header["kind"], header["fields"], arrays
+    return header["kind"], fields, arrays
+
+
+def _table_entry(entry) -> tuple[str, np.dtype, tuple[int, ...]]:
+    """(name, dtype, shape) of one array-table entry: a string name, the
+    string of a numeric dtype and a list of non-negative integers."""
+    try:
+        name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), entry["shape"]
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"malformed array table entry {entry!r}: {exc}") from None
+    if not (isinstance(name, str) and isinstance(entry["dtype"], str) and dtype.kind in "biufc"
+            and isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise DataFormatError(f"malformed array table entry {entry!r}")
+    return name, dtype, tuple(shape)
 
 
 def write_atomic(path: str | os.PathLike, blob: bytes) -> None:

@@ -189,11 +189,11 @@ class Encoder:
         # stage's gated output is its gated time mean
         return ad.mul(pooled, ad.add(gate, 1.0))
 
-    def embed(self, signals: np.ndarray, batch_size: int = 128) -> np.ndarray:
-        """Inference-only embeddings, chunked to bound memory."""
+    def embed(self, signals: np.ndarray) -> np.ndarray:
+        """Inference-only embeddings, in chunks of 128 signals to bound memory."""
         outs = []
-        for lo in range(0, signals.shape[0], batch_size):
-            outs.append(self.forward(signals[lo : lo + batch_size]).data)
+        for lo in range(0, signals.shape[0], 128):
+            outs.append(self.forward(signals[lo : lo + 128]).data)
         return np.concatenate(outs, axis=0) if outs else np.zeros((0, self.config.output_dim), dtype=self.dtype)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -236,9 +236,6 @@ def parameter_breakdown(config: EncoderConfig) -> dict[str, int]:
 # own dtype
 
 
-CheckpointError = DataFormatError
-
-
 def save_checkpoint(path, encoder: Encoder, extra: dict[str, np.ndarray] | None = None,
                     meta: dict | None = None) -> None:
     fields = {"config": asdict(encoder.config), "seed": encoder.seed,
@@ -249,10 +246,19 @@ def save_checkpoint(path, encoder: Encoder, extra: dict[str, np.ndarray] | None 
 
 
 def load_checkpoint(path) -> tuple[Encoder, dict[str, np.ndarray], dict]:
+    """(encoder, extras, meta) of a checkpoint file; a corrupt or malformed
+    one, including a missing field or parameter, raises DataFormatError."""
     with open(path, "rb") as fh:
         _, fields, arrays = container.unpack(fh.read(), "checkpoint")
-    cfg = dict(fields["config"], stages=tuple(tuple(s) for s in fields["config"]["stages"]))
     params = {k[len("param/") :]: v for k, v in arrays.items() if k.startswith("param/")}
-    encoder = Encoder(EncoderConfig(**cfg), fields["seed"], dtype=fields["dtype"], arrays=params)
+    try:
+        cfg = dict(fields["config"], stages=tuple(tuple(s) for s in fields["config"]["stages"]))
+        encoder = Encoder(EncoderConfig(**cfg), fields["seed"], dtype=fields["dtype"],
+                          arrays=params)
+        meta = fields["meta"]
+    except KeyError as exc:
+        raise DataFormatError(f"malformed checkpoint: no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed checkpoint: {exc}") from None
     extra = {k[len("extra/") :]: v.copy() for k, v in arrays.items() if k.startswith("extra/")}
-    return encoder, extra, fields["meta"]
+    return encoder, extra, meta

@@ -183,33 +183,28 @@ def sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y.reshape(x.shape)
 
 
-def bandpass(
-    signal: np.ndarray,
-    fs: float,
-    low: float = BAND_LOW_HZ,
-    high: float = BAND_HIGH_HZ,
-    order: int = FILTER_ORDER,
-) -> np.ndarray:
-    """Causal Butterworth bandpass; output length equals input length."""
-    sos = butter_bandpass_sos(low, high, fs, order)
-    return sosfilt(sos, signal)
+def bandpass(signal: np.ndarray, fs: float) -> np.ndarray:
+    """Causal Butterworth bandpass of order FILTER_ORDER over BAND_LOW_HZ to
+    BAND_HIGH_HZ; output length equals input length."""
+    return sosfilt(butter_bandpass_sos(BAND_LOW_HZ, BAND_HIGH_HZ, fs, FILTER_ORDER), signal)
 
 
 # ---------------------------------------------------------------------------
 # resampling
 
 
-def _resample_filter(up: int, down: int, half_zeros: int = 10, beta: float = 8.6) -> np.ndarray:
-    """Windowed-sinc lowpass at the tighter of the two Nyquist edges.
+def _resample_filter(up: int, down: int) -> np.ndarray:
+    """Windowed-sinc lowpass at the tighter of the two Nyquist edges: 10 zero
+    crossings each side, Kaiser window with beta 8.6.
 
     DC gain is exactly `up`, compensating the 1/up power loss of
     zero-stuffing so amplitudes survive the rate change.
     """
     m = max(up, down)
-    half = half_zeros * m
+    half = 10 * m
     n = np.arange(-half, half + 1)
     h = np.sinc(n / m) / m
-    h *= np.kaiser(len(n), beta)
+    h *= np.kaiser(len(n), 8.6)
     return h * (up / h.sum())
 
 
@@ -298,7 +293,6 @@ class NoiseBank:
     a random window of the requested length.
     """
 
-    fs: float
     recordings: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -309,14 +303,15 @@ class NoiseBank:
                 raise ValueError("noise recordings must be (n_leads, length)")
 
     @classmethod
-    def synthetic(cls, fs: float = TARGET_FS, n_leads: int = 12,
-                  duration: float = 60.0, seed: int = 0) -> "NoiseBank":
-        """Generators standing in for recorded noise, one flavor per category.
+    def synthetic(cls, duration: float = 60.0, seed: int = 0) -> "NoiseBank":
+        """Generators standing in for recorded noise at TARGET_FS, 12 leads,
+        one flavor per category.
 
         white: Gaussian; baseline_wander: 0.1-0.4 Hz sinusoids with random
         phase; muscle: 20-100 Hz band-limited Gaussian; movement: sparse
         steps and spikes. Each recording is normalized to unit std.
         """
+        fs, n_leads = TARGET_FS, 12
         rng = np.random.default_rng(seed)
         n = int(duration * fs)
         t = np.arange(n) / fs
@@ -347,7 +342,7 @@ class NoiseBank:
         for cat, arr in recs.items():
             sd = arr.std(axis=1, keepdims=True)
             recs[cat] = arr / np.where(sd == 0, 1.0, sd)
-        return cls(fs=fs, recordings=recs)
+        return cls(recordings=recs)
 
     def draw(self, category: str, lead_id: int, length: int, rng: np.random.Generator) -> np.ndarray:
         if category not in self.recordings:

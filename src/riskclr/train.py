@@ -45,16 +45,16 @@ class ResumeError(ValueError):
 
 
 class Adam:
-    """Adam with either decoupled (AdamW) or L2-coupled weight decay."""
+    """Adam (betas 0.9 and 0.999, eps 1e-8) with either decoupled (AdamW) or
+    L2-coupled weight decay."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  decoupled: bool = True):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.decoupled = decoupled
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -196,7 +196,6 @@ class PreparedPretrain:
     risks: np.ndarray  # (N,)
     missing: np.ndarray  # (N,)
     subject_ids: list[str]
-    fs: float
 
     @classmethod
     def from_dataset(cls, ds: Dataset, seed: int = 42,
@@ -214,7 +213,7 @@ class PreparedPretrain:
             risks[i] = rs.r
             missing[i] = rs.missing_count
         return cls(signals=signals, risks=risks, missing=missing,
-                   subject_ids=list(ds.subject_ids), fs=500.0)
+                   subject_ids=list(ds.subject_ids))
 
     def __len__(self) -> int:
         return self.signals.shape[0]
@@ -223,7 +222,7 @@ class PreparedPretrain:
         """First-n-subjects slice (reuses the preprocessing work)."""
         return PreparedPretrain(signals=self.signals[:n], risks=self.risks[:n],
                                 missing=self.missing[:n],
-                                subject_ids=self.subject_ids[:n], fs=self.fs)
+                                subject_ids=self.subject_ids[:n])
 
 
 @dataclass
@@ -322,7 +321,7 @@ def pretrain(
     ``host``, outside ``config``: resuming on another host is not refused.
     """
     if bank is None:
-        bank = NoiseBank.synthetic(fs=prep.fs, seed=cfg.seed)
+        bank = NoiseBank.synthetic(seed=cfg.seed)
     n = len(prep)
     idx = np.arange(n)
     n_val = int(round(cfg.val_fraction * n))
@@ -617,9 +616,10 @@ ABLATION_VARIANTS: tuple[LossSpec, ...] = (
 )
 
 
-def lambda_mix_variants(lams=(5.0, 2.0, 1.0, 0.5, 0.2)) -> tuple[LossSpec, ...]:
-    """w+d mixtures normalized by the sum of their coefficients."""
-    return tuple(LossSpec("w+d", lam=l, normalize=True) for l in lams)
+def lambda_mix_variants() -> tuple[LossSpec, ...]:
+    """w+d mixtures at lambda 5, 2, 1, 0.5 and 0.2, normalized by the sum of
+    their coefficients."""
+    return tuple(LossSpec("w+d", lam=l, normalize=True) for l in (5.0, 2.0, 1.0, 0.5, 0.2))
 
 
 def ablate(prep: PreparedPretrain, encoder_config, down_train: DownstreamDataset,
@@ -634,7 +634,7 @@ def ablate(prep: PreparedPretrain, encoder_config, down_train: DownstreamDataset
     """
     if not variants:
         raise ValueError("variants must be non-empty")
-    bank = NoiseBank.synthetic(fs=prep.fs, seed=cfg.seed)
+    bank = NoiseBank.synthetic(seed=cfg.seed)
     sig_train, sig_val, sig_test = (preprocess_downstream(d)
                                     for d in (down_train, down_val, down_test))
     rows = []

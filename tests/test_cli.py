@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -369,6 +370,35 @@ class TestPipelineCommands:
         ])
         assert result.exit_code == 3
 
+    def test_probe_malformed_checkpoint_exit_3(self, runner, small_data, tmp_path):
+        from riskclr import container
+
+        enc = build(STANDARD_CONFIGS["tiny"], seed=0)
+        ckpt = tmp_path / "enc.ckpt"  # a checksummed container that is no checkpoint
+        ckpt.write_bytes(container.pack("checkpoint", {"config": {}},
+                                        {f"param/{k}": t.data for k, t in enc.params.items()}))
+        result = runner.invoke(main, [
+            "probe", "--checkpoint", str(ckpt),
+            "--data", str(small_data / "down.rds"), "--run-dir", str(tmp_path / "p"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "malformed checkpoint" in result.output
+
+    @pytest.mark.parametrize("blob,message", [(None, "checkpoint not found"),
+                                              (b"RCLRCONT" + bytes(40), "checksum mismatch")],
+                             ids=["missing", "corrupt"])
+    def test_pretrain_bad_resume_checkpoint_exit_3(self, runner, small_data, tmp_path, blob,
+                                                   message):
+        ckpt = tmp_path / "last.ckpt"
+        if blob is not None:
+            ckpt.write_bytes(blob)
+        result = runner.invoke(main, [
+            "pretrain", "--data", str(small_data / "pre.rds"), "--run-dir", str(tmp_path / "run"),
+            "--epochs", "1", "--resume", str(ckpt),
+        ])
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+
 
 class TestGradcheckCommand:
     def test_passes_and_dumps_weights(self, runner, tmp_path):
@@ -487,3 +517,84 @@ class TestBlasThreads:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == expected
+
+
+# Runs `riskclr pretrain` with argv[3:]. With argv[1] = N and argv[2] = "after"
+# or "before", it SIGKILLs its own process right after (or just before) the
+# Nth os.replace; "one" in argv[2] instead pins the process to one CPU, before
+# riskclr.autodiff reads the CPU count.
+_KILL_WRAPPER = textwrap.dedent("""
+    import os, signal, sys
+    n, when = int(sys.argv[1]), sys.argv[2]
+    if when == "one":
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    real_replace, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == n and when == "before":
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_replace(src, dst)
+        if len(calls) == n and when == "after":
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    os.replace = replace
+    from riskclr.cli import main
+    main(["pretrain", *sys.argv[3:]])
+""")
+
+
+class TestKillAndResume:
+    """A `riskclr pretrain` killed from outside the interpreter at a file
+    replace resumes to the bits of an uninterrupted run."""
+
+    ARGS = ["--epochs", "4", "--batch-size", "8", "--seed", "3"]
+
+    @staticmethod
+    def _run(tmp, run_dir, kill_at, when, *extra):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        return subprocess.run(
+            [sys.executable, "-c", _KILL_WRAPPER, str(kill_at), when, "--data",
+             str(tmp / "pre.rds"), "--run-dir", str(run_dir), *TestKillAndResume.ARGS, *extra],
+            env=env, capture_output=True, text=True, timeout=600)
+
+    @staticmethod
+    def _last(run_dir):
+        from riskclr.encoder import load_checkpoint
+
+        enc, extra, meta = load_checkpoint(run_dir / "last.ckpt")
+        meta.pop("host")  # host.cpus differs by design
+        arrays = {**enc.state_arrays(), **{f"extra/{k}": v for k, v in extra.items()}}
+        return meta, {k: v.tobytes() for k, v in arrays.items()}
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("kill")
+        pre, _ = generate_synthetic(SyntheticConfig(n_subjects=24, n_downstream=0, duration=4.0,
+                                                    seed=3))
+        save(pre, tmp / "pre.rds")
+        proc = self._run(tmp, tmp / "full", 0, "never")
+        assert proc.returncode == 0, proc.stderr
+        return tmp
+
+    # 1 replace writes config.json, then each epoch replaces last.ckpt and
+    # metrics.csv: the 4th is epoch 1's last.ckpt, the 5th its metrics.csv
+    @pytest.mark.parametrize("kill_at,when", [(4, "after"), (4, "before"), (5, "after")])
+    def test_resume_after_sigkill_is_exact(self, uninterrupted, tmp_path, kill_at, when):
+        full = uninterrupted / "full"
+        run = tmp_path / "run"
+        proc = self._run(uninterrupted, run, kill_at, when)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert not (run / "best.ckpt").exists()
+        one_cpu = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
+        proc = self._run(uninterrupted, run, 0, "one" if one_cpu else "never",
+                         "--resume", str(run / "last.ckpt"))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("metrics.csv", "best.ckpt"):
+            assert (run / name).read_bytes() == (full / name).read_bytes(), name
+        assert self._last(run) == self._last(full)
+        leftover = [p.name for p in run.iterdir() if p.name.endswith(".tmp")]
+        if when == "after":
+            assert leftover == []

@@ -165,21 +165,28 @@ class TestContainer:
             load(path)
 
     def test_version_mismatch_rejected(self, small_pair, tmp_path):
-        import hashlib
-        import json
-
         pre, _ = small_pair
-        body = save_bytes(pre)[:-32]
-        start = len(container.MAGIC) + 4
-        end = start + int.from_bytes(body[len(container.MAGIC) : start], "little")
-        header = json.loads(body[start:end])
-        header["version"] += 1  # bump the header's version, then re-hash
-        raw = json.dumps(header, sort_keys=True).encode()
-        body = container.MAGIC + len(raw).to_bytes(4, "little") + raw + body[end:]
         path = tmp_path / "vers.rds"
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        path.write_bytes(with_header(save_bytes(pre), lambda h: {**h, "version": h["version"] + 1}))
         with pytest.raises(DataFormatError, match="version"):
             load(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: [h], "not a JSON object"),
+        (lambda h: {k: v for k, v in h.items() if k != "arrays"}, "'arrays' list"),
+        (lambda h: {k: v for k, v in h.items() if k != "fields"}, "'fields' object"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "bogus"}]}, "not understood"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "|O"}]}, "malformed array"),
+        (lambda h: {**h, "arrays": ["leads"]}, "malformed array"),
+        (lambda h: {**h, "arrays": [{"name": "leads", "dtype": "<f4"}]}, "'shape'"),
+    ], ids=["header-list", "no-arrays", "no-fields", "unknown-dtype", "object-dtype",
+            "entry-string", "entry-no-shape"])
+    def test_malformed_header_rejected(self, small_pair, edit, message):
+        """A header that passes the checksum but is not the format's shape
+        fails as DataFormatError, not as whatever the reader tripped on."""
+        pre, _ = small_pair
+        with pytest.raises(DataFormatError, match=message):
+            load_bytes(with_header(save_bytes(pre), edit))
 
     def test_checkpoint_is_not_a_dataset(self, tmp_path):
         from riskclr.encoder import STANDARD_CONFIGS, build, save_checkpoint
@@ -324,6 +331,20 @@ class TestSplit:
         _, down = generate_synthetic(cfg)
         tr, va, te = split(down, (0.5, 0.25, 0.25), mode="by-subject", seed=0)
         assert len(tr) + len(va) + len(te) == 20
+
+
+def with_header(blob: bytes, edit) -> bytes:
+    """The container ``blob`` with its JSON header replaced by
+    ``edit(header)`` and its checksum recomputed."""
+    import hashlib
+    import json
+
+    body = blob[:-32]
+    start = len(container.MAGIC) + 4
+    end = start + int.from_bytes(body[len(container.MAGIC) : start], "little")
+    raw = json.dumps(edit(json.loads(body[start:end])), sort_keys=True).encode()
+    body = container.MAGIC + len(raw).to_bytes(4, "little") + raw + body[end:]
+    return body + hashlib.sha256(body).digest()
 
 
 def _dummy_dataset(n, subjects=None):

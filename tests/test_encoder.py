@@ -9,7 +9,6 @@ from riskclr import encoder as encoder_mod
 from riskclr.autodiff import Tape, Tensor
 from riskclr.encoder import (
     STANDARD_CONFIGS,
-    CheckpointError,
     EncoderConfig,
     build,
     load_checkpoint,
@@ -117,9 +116,19 @@ class TestForward:
         np.testing.assert_allclose(a, b, rtol=5e-3, atol=5e-4)
 
 
+def _over_time(gate, length):
+    """The (B, C) ``gate`` repeated over ``length`` time steps as (B, length,
+    C): a product with a 0/1 matrix, since the elementwise ops do not
+    broadcast."""
+    batch, c = gate.data.shape
+    repeat = np.kron(np.eye(batch), np.ones((length, 1)))  # (B * length, B)
+    return ad.reshape(ad.matmul(repeat, gate), (batch, length, c))
+
+
 def _composed_forward(enc, signals):
     """Encoder.forward written with the plain ops: each stage gated by
-    reshape, mul and add, and the embedding a time mean of the last stage."""
+    repeating the gate over time, mul and add, and the embedding a time mean
+    of the last stage."""
     p, cfg = enc.params, enc.config
     x = Tensor(signals)
     h = ad.reshape(x, (x.data.shape[0], x.data.shape[1], 1))
@@ -139,7 +148,7 @@ def _composed_forward(enc, signals):
         g = f"stage{si}.gate"
         gate = ad.swish(ad.dense(ad.mean(h, axis=1), p[f"{g}.fc1.w"], p[f"{g}.fc1.b"]))
         gate = ad.sigmoid(ad.dense(gate, p[f"{g}.fc2.w"], p[f"{g}.fc2.b"]))
-        h = ad.add(h, ad.mul(h, ad.reshape(gate, (gate.data.shape[0], 1, ch))))
+        h = ad.add(h, ad.mul(h, _over_time(gate, h.data.shape[1])))
     return ad.mean(h, axis=1)
 
 
@@ -246,11 +255,29 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0x55
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(container.DataFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop,message", [
+        ("config", "no 'config' field"), ("seed", "no 'seed' field"),
+        ("dtype", "no 'dtype' field"), ("meta", "no 'meta' field"),
+        ("param/stem.w", "missing parameter stem.w"),
+    ], ids=["config", "seed", "dtype", "meta", "param"])
+    def test_missing_field_or_parameter_rejected(self, tmp_path, drop, message):
+        """A whole checkpoint container that lacks what a checkpoint holds
+        fails as DataFormatError."""
+        enc = build(TINY, seed=0)
+        fields = {"config": encoder_mod.asdict(TINY), "seed": 0, "dtype": "float64", "meta": {}}
+        arrays = {f"param/{k}": t.data for k, t in enc.params.items()}
+        fields.pop(drop, None)
+        arrays.pop(drop, None)
+        path = tmp_path / "part.ckpt"
+        path.write_bytes(container.pack("checkpoint", fields, arrays))
+        with pytest.raises(container.DataFormatError, match=message):
             load_checkpoint(path)
 
     def test_wrong_magic_detected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all, definitely " + b"\x00" * 64)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(container.DataFormatError):
             load_checkpoint(path)

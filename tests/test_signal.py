@@ -346,7 +346,7 @@ class TestAugment:
             assert 0.19 <= k / n <= 0.21, f"{c}: {k / n}"
 
     def test_missing_category_rejected(self):
-        bank = NoiseBank(fs=500.0, recordings={"white": np.zeros((12, 100))})
+        bank = NoiseBank(recordings={"white": np.zeros((12, 100))})
         rng = np.random.default_rng(5)
         with pytest.raises(KeyError):
             for _ in range(50):
@@ -354,7 +354,7 @@ class TestAugment:
 
     @pytest.mark.parametrize("lead_id", [0, 13])
     def test_lead_outside_bank_rejected(self, lead_id):
-        bank = NoiseBank(fs=500.0, recordings={c: np.zeros((12, 100)) for c in NOISE_CATEGORIES})
+        bank = NoiseBank(recordings={c: np.zeros((12, 100)) for c in NOISE_CATEGORIES})
         with pytest.raises(ValueError, match=f"lead_id must be in 1..12, got {lead_id}"):
             bank.draw("white", lead_id, 50, np.random.default_rng(0))
 
