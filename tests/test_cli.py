@@ -519,14 +519,14 @@ class TestBlasThreads:
         assert json.loads(proc.stdout) == expected
 
 
-# Runs `riskclr pretrain` with argv[3:]. With argv[1] = N and argv[2] = "after"
-# or "before", it SIGKILLs its own process right after (or just before) the
-# Nth os.replace; "one" in argv[2] instead pins the process to one CPU, before
-# riskclr.autodiff reads the CPU count.
+# Runs `riskclr pretrain` with argv[4:]. It SIGKILLs its own process right
+# "after" or "before" (argv[2]) its Nth os.replace (argv[1]; 0: never), and
+# with argv[3] == "one" first pins itself to one CPU, before riskclr.autodiff
+# reads the CPU count.
 _KILL_WRAPPER = textwrap.dedent("""
     import os, signal, sys
-    n, when = int(sys.argv[1]), sys.argv[2]
-    if when == "one":
+    n, when, cpus = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+    if cpus == "one":
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     real_replace, calls = os.replace, []
 
@@ -540,7 +540,7 @@ _KILL_WRAPPER = textwrap.dedent("""
 
     os.replace = replace
     from riskclr.cli import main
-    main(["pretrain", *sys.argv[3:]])
+    main(["pretrain", *sys.argv[4:]])
 """)
 
 
@@ -551,12 +551,12 @@ class TestKillAndResume:
     ARGS = ["--epochs", "4", "--batch-size", "8", "--seed", "3"]
 
     @staticmethod
-    def _run(tmp, run_dir, kill_at, when, *extra):
+    def _run(tmp, run_dir, *extra, kill_at=0, when="after", cpus="all"):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         return subprocess.run(
-            [sys.executable, "-c", _KILL_WRAPPER, str(kill_at), when, "--data",
+            [sys.executable, "-c", _KILL_WRAPPER, str(kill_at), when, cpus, "--data",
              str(tmp / "pre.rds"), "--run-dir", str(run_dir), *TestKillAndResume.ARGS, *extra],
             env=env, capture_output=True, text=True, timeout=600)
 
@@ -575,7 +575,7 @@ class TestKillAndResume:
         pre, _ = generate_synthetic(SyntheticConfig(n_subjects=24, n_downstream=0, duration=4.0,
                                                     seed=3))
         save(pre, tmp / "pre.rds")
-        proc = self._run(tmp, tmp / "full", 0, "never")
+        proc = self._run(tmp, tmp / "full")
         assert proc.returncode == 0, proc.stderr
         return tmp
 
@@ -585,16 +585,15 @@ class TestKillAndResume:
     def test_resume_after_sigkill_is_exact(self, uninterrupted, tmp_path, kill_at, when):
         full = uninterrupted / "full"
         run = tmp_path / "run"
-        proc = self._run(uninterrupted, run, kill_at, when)
+        proc = self._run(uninterrupted, run, kill_at=kill_at, when=when)
         assert proc.returncode == -signal.SIGKILL, proc.stderr
         assert not (run / "best.ckpt").exists()
         one_cpu = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
-        proc = self._run(uninterrupted, run, 0, "one" if one_cpu else "never",
-                         "--resume", str(run / "last.ckpt"))
+        proc = self._run(uninterrupted, run, "--resume", str(run / "last.ckpt"),
+                         cpus="one" if one_cpu else "all")
         assert proc.returncode == 0, proc.stderr
         for name in ("metrics.csv", "best.ckpt"):
             assert (run / name).read_bytes() == (full / name).read_bytes(), name
         assert self._last(run) == self._last(full)
-        leftover = [p.name for p in run.iterdir() if p.name.endswith(".tmp")]
-        if when == "after":
-            assert leftover == []
+        if when == "after":  # a kill before the rename leaves its temp file (not yet removed)
+            assert [p.name for p in run.iterdir() if p.name.endswith(".tmp")] == []
