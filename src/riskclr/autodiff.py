@@ -35,11 +35,18 @@ which is its own handle. The tape holds an output's handle, not its
 array, so an array outlives the forward pass only if a VJP reads it, as
 with PyTorch's saved tensors (Paszke et al., arXiv 1912.01703). A VJP
 that needs the output reads ``data`` from its closure, and neither the op
-nor its VJP writes to another op's arrays in place.
+nor its VJP writes to another op's arrays in place. An op's output and its
+VJP's gradients are as large as its inputs; a caller that wants memory set
+by a sub-batch runs the ops on chunks of rows and joins them with
+``concat``, whose VJP hands each chunk its rows of ``g`` as views (see
+``Encoder.forward``). Ops allocate in the calling thread: running the chunks
+themselves in pool threads would spread their buffers over per-thread
+malloc arenas, which raises peak RSS.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from typing import Callable, Sequence
@@ -472,6 +479,19 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     old, ha = a.data.shape, _handle(a)
     return _make_out(a.data.reshape(shape), (a,), lambda g: [(ha, g.reshape(old))])
+
+
+def concat(parts: Sequence) -> Tensor:
+    """``parts`` joined along the first axis. The VJP hands each part its
+    rows of ``g`` as a view, and captures only handles and row bounds."""
+    parts = [_as_tensor(p) for p in parts]
+    bounds = [0, *itertools.accumulate(len(p.data) for p in parts)]
+    handles = _handles(*parts)
+
+    def vjp(g):
+        return [(h, g[lo:hi]) for h, lo, hi in zip(handles, bounds, bounds[1:]) if h is not None]
+
+    return _make_out(np.concatenate([p.data for p in parts]), parts, vjp)
 
 
 def transpose(a) -> Tensor:

@@ -13,11 +13,13 @@ rejected, not converted.
 
 Every file riskclr writes, containers and CSV or JSON alike, goes through
 ``write_atomic``: a temp file in the target directory, flushed and fsynced,
-then renamed over the target.
+then renamed over the target. A temp file that a killed writer left behind
+is removed by the next write of the same target.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -119,8 +121,14 @@ def _table_entry(entry) -> tuple[str, np.dtype, tuple[int, ...]]:
 
 
 def write_atomic(path: str | os.PathLike, blob: bytes) -> None:
-    """Replace ``path`` with ``blob`` so that a crash leaves the old file whole."""
+    """Replace ``path`` with ``blob`` so that a crash leaves the old file whole.
+
+    The temp file is ``<path>.<pid>.tmp``. One left by an earlier writer of
+    ``path`` whose process no longer exists, killed before its rename, is
+    removed first.
+    """
     path = os.fspath(path)
+    _remove_stale_temps(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -132,6 +140,28 @@ def write_atomic(path: str | os.PathLike, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _remove_stale_temps(path: str) -> None:
+    folder, name = os.path.split(path)
+    for entry in os.listdir(folder or "."):
+        pid = entry[len(name) + 1 : -len(".tmp")]
+        if (entry.startswith(f"{name}.") and entry.endswith(".tmp") and pid.isdigit()
+                and not _process_exists(int(pid))):
+            with contextlib.suppress(FileNotFoundError):  # another writer removed it
+                os.unlink(os.path.join(folder, entry))
+
+
+def _process_exists(pid: int) -> bool:
+    if os.name != "posix":  # os.kill(pid, 0) is no probe there; keep the file
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        pass
+    return True
 
 
 def write_csv(path: str | os.PathLike, fieldnames, rows) -> None:

@@ -15,6 +15,14 @@ full-size gated output.
 No normalization layers anywhere; temporal downsampling happens only at the
 stem. The per-stage bottleneck width is round(stage_channels * ratio) and
 must be divisible by the group width.
+
+A batch runs through the encoder in chunks of ``CHUNK`` samples on one tape,
+joined by ``autodiff.concat``, so the memory of a pass beyond the arrays its
+VJPs read is set by the chunk, not the batch (as GradCache separates the loss
+batch from the encoder's sub-batch, Gao et al., arXiv 2101.06983). The
+chunk bounds depend only on the batch size, so results are bit-identical
+for any CPU count. Each op splits at most ``CHUNK`` samples over the CPUs,
+so hosts with more than about 16 CPUs lose parallelism.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .container import DataFormatError
 STEM_KERNEL = 16
 STEM_STRIDE = 2
 BLOCK_KERNEL = 16
+CHUNK = 32  # samples per pass of the encoder (see forward)
 
 
 @dataclass(frozen=True)
@@ -155,17 +164,36 @@ class Encoder:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, signals) -> Tensor:
-        """(batch, t) signals -> (batch, output_dim) embeddings."""
-        x = signals if isinstance(signals, Tensor) else Tensor(np.asarray(signals, dtype=self.dtype))
-        if x.data.ndim != 2:
+    def forward(self, signals: np.ndarray) -> Tensor:
+        """(batch, t) signal array -> (batch, output_dim) embeddings.
+
+        The batch runs through the encoder ``CHUNK`` samples at a time, and
+        ``ad.concat`` joins the chunks' embeddings, so every forward
+        transient and, under a tape, every VJP gradient is chunk-sized; only
+        the arrays the VJPs read grow with the batch. Every op is per-sample
+        or row-independent, so an embedding has the bits it has in a chunk
+        of its own (in float64, numpy runs a one-row dense layer as a
+        matrix-vector product, which may round differently). Parameter
+        gradients are summed per chunk, then across chunks in tape order. A
+        ``Tensor`` is refused: the chunks would drop its gradient.
+        """
+        if isinstance(signals, Tensor):
+            raise TypeError("Encoder.forward takes a (batch, t) array, not a Tensor: "
+                            "it runs the batch in chunks, which would drop the input's gradient")
+        signals = np.asarray(signals)
+        if signals.ndim != 2:
             raise ValueError("expected a (batch, t) signal array")
-        t = x.data.shape[1]
+        t = signals.shape[1]
         if t < STEM_KERNEL:
             raise ValueError(f"signal length {t} shorter than the stem kernel {STEM_KERNEL}")
+        # an empty batch runs one empty chunk, so its output is (0, output_dim)
+        return ad.concat([self._chunk(np.asarray(signals[lo : lo + CHUNK], dtype=self.dtype))
+                          for lo in range(0, max(len(signals), 1), CHUNK)])
+
+    def _chunk(self, x: np.ndarray) -> Tensor:
+        """The encoder on one chunk of (batch, t) signals."""
         p = self.params
-        h = ad.reshape(x, (x.data.shape[0], t, 1))
-        h = ad.swish(ad.conv1d(h, p["stem.w"], p["stem.b"], stride=STEM_STRIDE))
+        h = ad.swish(ad.conv1d(x[:, :, None], p["stem.w"], p["stem.b"], stride=STEM_STRIDE))
         in_ch = self.config.hidden_dim
         for si, (ch, blocks) in enumerate(self.config.stages):
             d1 = self.config.stage_width(ch)
@@ -190,11 +218,9 @@ class Encoder:
         return ad.mul(pooled, ad.add(gate, 1.0))
 
     def embed(self, signals: np.ndarray) -> np.ndarray:
-        """Inference-only embeddings, in chunks of 128 signals to bound memory."""
-        outs = []
-        for lo in range(0, signals.shape[0], 128):
-            outs.append(self.forward(signals[lo : lo + 128]).data)
-        return np.concatenate(outs, axis=0) if outs else np.zeros((0, self.config.output_dim), dtype=self.dtype)
+        """Inference-only embeddings: ``forward`` without a tape, whose chunks
+        bound the memory."""
+        return self.forward(signals).data
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -110,6 +110,10 @@ class TestOpAdjoints:
         with pytest.raises(AutodiffError):
             ad.gate(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((3, 3))))
 
+    def test_concat(self):
+        parts = [RNG.normal(size=(rows, 3, 2)) for rows in (2, 1, 4)]
+        assert grad_check(lambda *ts: ad.mean(ad.square(ad.concat(ts))), parts, eps=EPS) < TOL
+
     def test_row_l2_normalize(self):
         x = RNG.normal(size=(4, 6)) + 0.1
         assert grad_check(lambda t: ad.mean(ad.row_l2_normalize(t)), [x], eps=EPS) < TOL
@@ -814,6 +818,18 @@ def _channels_read_by_vjps(config) -> int:
     return channels
 
 
+def _channels_read_by_no_vjp(config) -> int:
+    """Channels of the full-size arrays of an encoder forward that no VJP
+    reads: the stem's conv output; each block's three conv outputs and its
+    projection; and the last stage's last sum."""
+    channels = config.hidden_dim
+    in_ch = config.hidden_dim
+    for ch, blocks in config.stages:
+        channels += blocks * (2 * config.stage_width(ch) + ch) + (ch if in_ch != ch else 0)
+        in_ch = ch
+    return channels + config.stages[-1][0]
+
+
 class TestHeldArrays:
     """Between an encoder's forward and backward passes the tape keeps only
     the arrays some VJP reads. With one CPU every slice runs inline, and
@@ -882,6 +898,32 @@ class TestHeldArrays:
         # one more full-size array, even the narrowest, is too many
         narrowest = min(config.stage_width(ch) for ch, _ in config.stages) * channel
         assert read <= held < read + narrowest
+
+    def test_peaks_held_to_one_chunk(self):
+        """A batch of 4 chunks peaks, in its forward and in its backward
+        pass, under what the VJPs read plus the transients of one chunk."""
+        from riskclr.encoder import BLOCK_KERNEL, CHUNK, STEM_STRIDE
+
+        config, enc, x = self._tiny(4 * CHUNK, 2000)
+        enc.forward(x[:2])  # builds the pool outside the count
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = ad.sum_(enc.forward(x))
+            held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        length = -(-x.shape[1] // STEM_STRIDE)
+        channel = CHUNK * length * x.itemsize  # one (CHUNK, L) float32 slab
+        # each slice's im2col columns of the widest 16-tap conv
+        scratch = (min(ad._WORKERS, CHUNK) * BLOCK_KERNEL * length * x.itemsize
+                   * max(config.stage_width(ch) for ch, _ in config.stages))
+        bound = held + _channels_read_by_no_vjp(config) * channel + scratch
+        assert forward_peak < bound
+        assert backward_peak < bound
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_dropped_encoder_freed_by_refcount(self, backward):

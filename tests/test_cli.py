@@ -595,5 +595,5 @@ class TestKillAndResume:
         for name in ("metrics.csv", "best.ckpt"):
             assert (run / name).read_bytes() == (full / name).read_bytes(), name
         assert self._last(run) == self._last(full)
-        if when == "after":  # a kill before the rename leaves its temp file (not yet removed)
-            assert [p.name for p in run.iterdir() if p.name.endswith(".tmp")] == []
+        # a kill before the rename leaves its temp file; the resume removes it
+        assert [p.name for p in run.iterdir() if p.name.endswith(".tmp")] == []

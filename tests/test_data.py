@@ -1,6 +1,9 @@
 """Synthetic generator properties, container round-trips, split laws."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +190,22 @@ class TestContainer:
         pre, _ = small_pair
         with pytest.raises(DataFormatError, match=message):
             load_bytes(with_header(save_bytes(pre), edit))
+
+    def test_write_removes_a_dead_writers_temp_file(self, tmp_path):
+        """A writer killed before its rename leaves ``<target>.<pid>.tmp``;
+        the next write of that target removes it, and leaves the temp files
+        of a live writer and of other targets alone."""
+        done = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              capture_output=True, text=True, check=True)
+        dead = int(done.stdout)
+        stale = tmp_path / f"out.csv.{dead}.tmp"
+        live = tmp_path / f"out.csv.{os.getppid()}.tmp"
+        other = tmp_path / f"other.csv.{dead}.tmp"
+        for path in (stale, live, other):
+            path.write_bytes(b"partial")
+        container.write_atomic(tmp_path / "out.csv", b"whole")
+        assert (tmp_path / "out.csv").read_bytes() == b"whole"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out.csv", live.name, other.name])
 
     def test_checkpoint_is_not_a_dataset(self, tmp_path):
         from riskclr.encoder import STANDARD_CONFIGS, build, save_checkpoint

@@ -79,8 +79,8 @@ class TestForward:
         a = rng.normal(size=(2, 512))
         b = rng.normal(size=(3, 512))
         joint = enc.forward(np.concatenate([a, b])).data
-        np.testing.assert_allclose(joint[:2], enc.forward(a).data, atol=1e-12)
-        np.testing.assert_allclose(joint[2:], enc.forward(b).data, atol=1e-12)
+        np.testing.assert_array_equal(joint[:2], enc.forward(a).data)
+        np.testing.assert_array_equal(joint[2:], enc.forward(b).data)
 
     def test_identical_rows_identical_outputs(self):
         enc = build(TINY, seed=3)
@@ -114,6 +114,43 @@ class TestForward:
         a = e64.forward(x).data
         b = e32.forward(x.astype(np.float32)).data
         np.testing.assert_allclose(a, b, rtol=5e-3, atol=5e-4)
+
+
+class TestChunks:
+    """forward runs ``CHUNK`` samples at a time and joins the embeddings."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embeddings_equal_per_chunk_and_per_sample(self, dtype):
+        chunk = encoder_mod.CHUNK
+        enc = build(TINY, seed=2, dtype=dtype)
+        x = np.random.default_rng(0).normal(size=(2 * chunk + 3, 400)).astype(dtype)
+        z = enc.forward(x).data
+        assert z.shape == (len(x), TINY.output_dim)
+        np.testing.assert_array_equal(
+            z, np.concatenate([enc.forward(x[lo : lo + chunk]).data for lo in range(0, len(x), chunk)]))
+        np.testing.assert_array_equal(enc.embed(x), z)
+        if dtype == np.float32:  # numpy runs a one-row float64 dense layer as a
+            # matrix-vector product, which may round differently
+            np.testing.assert_array_equal(z, np.concatenate([enc.forward(row[None]).data for row in x]))
+
+    def test_parameter_gradients_match_one_unchunked_pass(self, monkeypatch):
+        enc = build(TINY, seed=3)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2 * encoder_mod.CHUNK + 3, 300))
+        weights = rng.normal(size=(len(x), TINY.output_dim))
+        chunked = TestComposedReference._run(enc.forward, enc, x, weights)[1]
+        monkeypatch.setattr(encoder_mod, "CHUNK", len(x))
+        whole = TestComposedReference._run(enc.forward, enc, x, weights)[1]
+        for name in whole:
+            np.testing.assert_allclose(chunked[name], whole[name], rtol=1e-10, err_msg=name)
+
+    def test_tensor_input_refused(self):
+        enc = build(TINY, seed=0)
+        with pytest.raises(TypeError, match="not a Tensor"):
+            enc.forward(Tensor(np.zeros((2, 300)), requires_grad=True))
+
+    def test_empty_batch(self):
+        assert build(TINY, seed=0).embed(np.zeros((0, 300))).shape == (0, TINY.output_dim)
 
 
 def _over_time(gate, length):
