@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskclr.risk_score import (
     COEFFICIENTS,
@@ -259,3 +261,36 @@ class TestCsvInterface:
         rec = record_from_csv_row({c: "" for c in ("age", "gender", "smoking", "sbp",
                                                    "diabetes", "tchol", "hdl")})
         assert rec == MetadataRecord()
+
+
+# Each covariate drawn by its kind, or absent; written out independently of
+# the module under test.
+KINDS = {"age": "number", "gender": "gender", "smoking": "binary", "sbp": "number",
+         "diabetes": "binary", "total_cholesterol": "number", "hdl_cholesterol": "number"}
+VALID = {
+    "number": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "binary": st.sampled_from([0, 1]),
+    "gender": st.sampled_from(["male", "female"]),
+}
+INVALID = {
+    "number": st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])),
+    "binary": st.integers().filter(lambda v: v not in (0, 1)),
+    "gender": st.text().filter(lambda v: v not in ("male", "female")),
+}
+records = st.fixed_dictionaries({f: st.none() | VALID[k] for f, k in KINDS.items()})
+
+
+class TestRecordProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(fields=records)
+    def test_valid_record_survives_csv(self, fields):
+        rec = MetadataRecord(**fields)
+        assert record_from_csv_row(record_to_csv_row(rec)) == rec
+
+    @settings(deadline=None, max_examples=200)
+    @given(fields=records, data=st.data())
+    def test_one_invalid_value_names_its_field(self, fields, data):
+        field = data.draw(st.sampled_from(sorted(KINDS)))
+        fields[field] = data.draw(INVALID[KINDS[field]])
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            MetadataRecord(**fields)
