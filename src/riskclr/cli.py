@@ -100,6 +100,16 @@ def _encoder_config(name: str):
     return STANDARD_CONFIGS[key]
 
 
+def _csv_reader(fh, path: str, columns) -> csv.DictReader:
+    """A ``csv.DictReader`` over ``fh``; exit 2 naming the first of ``columns``
+    its header lacks (other columns are allowed)."""
+    reader = csv.DictReader(fh)
+    absent = [c for c in columns if c not in (reader.fieldnames or ())]
+    if absent:
+        raise CliError(f"{path} has no {absent[0]!r} column", EXIT_CONFIG)
+    return reader
+
+
 @click.group()
 def main() -> None:
     """Risk-guided contrastive pretraining for single-lead ECG encoders."""
@@ -121,7 +131,7 @@ def score2_cmd(input_path, output_path, seed, deterministic):
         raise CliError(f"input not found: {input_path}", EXIT_MISSING_INPUT)
     rows_out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = _csv_reader(fh, input_path, CSV_COLUMNS)
         for i, row in enumerate(reader):
             try:
                 record = record_from_csv_row(row)
@@ -129,7 +139,7 @@ def score2_cmd(input_path, output_path, seed, deterministic):
                 raise CliError(f"row {i}: {exc}", EXIT_CONFIG)
             rs = risk_from_record(record, rng=np.random.default_rng([seed, i]),
                                   deterministic=deterministic)
-            out = {c: row.get(c, "") for c in CSV_COLUMNS}
+            out = {c: row[c] for c in CSV_COLUMNS}
             out["r"] = repr(rs.r)
             out["m"] = rs.missing_count
             rows_out.append(out)
@@ -323,8 +333,8 @@ def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, 
     """Pretrain+probe each loss variant under identical seeds; emit a table."""
     from riskclr.container import write_csv
     from riskclr.data import Dataset, DownstreamDataset
-    from riskclr.train import (ABLATION_VARIANTS, DownstreamConfig, PreparedPretrain,
-                               PretrainConfig, ablate, lambda_mix_variants)
+    from riskclr.train import (ABLATION_VARIANTS, LAMBDA_MIX_VARIANTS, DownstreamConfig,
+                               PreparedPretrain, PretrainConfig, ablate)
 
     raw = _load_config_file(config_path, "pretrain", "downstream")
     cfg = _dataclass_from(raw.get("pretrain", {}), PretrainConfig, {"epochs": epochs})
@@ -334,7 +344,7 @@ def ablate_cmd(config_path, pre_path, down_path, run_dir, encoder_name, epochs, 
     down = _load_dataset(down_path, DownstreamDataset)
     tr, va, te = _split_downstream(down, raw, config_path, probe_cfg.seed)
     run = Path(run_dir)
-    variants = ABLATION_VARIANTS + (lambda_mix_variants() if lam_mixes else ())
+    variants = ABLATION_VARIANTS + (LAMBDA_MIX_VARIANTS if lam_mixes else ())
     _echo_config(run, {"pretrain": dataclasses.asdict(cfg),
                        "downstream": dataclasses.asdict(probe_cfg),
                        "encoder": dataclasses.asdict(enc_cfg),
@@ -411,10 +421,7 @@ def eval_cmd(pred_path, task):
         raise CliError(f"unknown task {task!r}", EXIT_CONFIG)
     columns = _EVAL_COLUMNS[task]
     with open(p, newline="") as fh:
-        reader = csv.DictReader(fh)
-        absent = [c for c in columns if c not in (reader.fieldnames or ())]
-        if absent:
-            raise CliError(f"{pred_path} has no {absent[0]!r} column", EXIT_CONFIG)
+        reader = _csv_reader(fh, pred_path, columns)
         rows = [[_csv_number(pred_path, reader.line_num, row, c) for c in columns]
                 for row in reader]
     if not rows:

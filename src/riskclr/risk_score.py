@@ -1,10 +1,19 @@
 """SCORE2 10-year cardiovascular risk from (possibly incomplete) metadata.
 
 The score uses seven covariates: age, gender, smoking status, systolic blood
-pressure, diabetes status, total cholesterol, and HDL cholesterol. Missing
-covariates are imputed (population reference values, optionally with Gaussian
-noise for the cholesterol pair) and counted; the count travels with the risk
-value so batch weighting can discount poorly-supported scores.
+pressure, diabetes status, total cholesterol, and HDL cholesterol. One table,
+``COVARIATES``, holds each one's record field, CSV column, kind, imputed
+default and imputation-noise sd; record validation, imputation and the CSV
+reader and writer all read it, while ``standardize`` and ``score2`` spell out
+the published formula. Missing covariates are imputed (population reference
+values, optionally with Gaussian noise for the cholesterol pair) and counted;
+the count travels with the risk value so batch weighting can discount
+poorly-supported scores.
+
+The CSV reader names the column of a cell it cannot read: a number cell that
+does not parse, or a binary cell other than 0 or 1. A header that lacks one
+of the seven columns is refused by the ``score2`` command before any row is
+read, so a misspelled column cannot be imputed on every row.
 
 Regional calibration is deliberately omitted: the uncalibrated 10-year risk
 is used directly.
@@ -20,15 +29,29 @@ import numpy as np
 
 Gender = Literal["male", "female"]
 
-N_COVARIATES = 7
+# One row per covariate, in SCORE2 order: record field, CSV column, kind, the
+# value imputed when it is absent, and the sd of the Gaussian noise that
+# stochastic imputation adds to that value (0: the bare value). The
+# cholesterol pair uses population reference means with biological-variation
+# noise, binary statuses default to absent, age to 40, sbp to the
+# standardization reference, and an absent gender to male (still counted).
+COVARIATES: tuple[tuple[str, str, str, float | int | str, float], ...] = (
+    ("age", "age", "number", 40.0, 0.0),
+    ("gender", "gender", "gender", "male", 0.0),
+    ("smoking", "smoking", "binary", 0, 0.0),
+    ("sbp", "sbp", "number", 120.0, 0.0),
+    ("diabetes", "diabetes", "binary", 0, 0.0),
+    ("total_cholesterol", "tchol", "number", 5.2, 0.5),
+    ("hdl_cholesterol", "hdl", "number", 1.3, 0.2),
+)
+N_COVARIATES = len(COVARIATES)
 
-# Imputation defaults: cholesterol pair uses population reference means with
-# biological-variation noise, binary statuses default to absent, age to 40.
-TCHOL_IMPUTE_MEAN, TCHOL_IMPUTE_SD = 5.2, 0.5
-HDL_IMPUTE_MEAN, HDL_IMPUTE_SD = 1.3, 0.2
-AGE_IMPUTE = 40.0
-SBP_IMPUTE = 120.0  # standardization reference; see DEFAULT_GENDER note
-DEFAULT_GENDER: Gender = "male"  # gender absent: counted missing, defaulted
+# kind -> (test a present value passes, what the refusal says it must be, cast)
+_KINDS = {
+    "number": (lambda v: math.isfinite(v) and v > 0, "positive and finite", float),
+    "binary": (lambda v: v in (0, 1), "0 or 1", int),
+    "gender": (lambda v: v in ("male", "female"), "'male' or 'female'", str),
+}
 
 
 @dataclass(frozen=True)
@@ -44,16 +67,11 @@ class MetadataRecord:
     hdl_cholesterol: float | None = None
 
     def __post_init__(self):
-        for name in ("age", "sbp", "total_cholesterol", "hdl_cholesterol"):
+        for name, _, kind, _, _ in COVARIATES:
             v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite when present, got {v}")
-        for name in ("smoking", "diabetes"):
-            v = getattr(self, name)
-            if v is not None and v not in (0, 1):
-                raise ValueError(f"{name} must be 0/1 when present, got {v}")
-        if self.gender is not None and self.gender not in ("male", "female"):
-            raise ValueError(f"gender must be 'male' or 'female', got {self.gender!r}")
+            valid, expected, _ = _KINDS[kind]
+            if v is not None and not valid(v):
+                raise ValueError(f"{name} must be {expected} when present, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -78,21 +96,10 @@ class ImputedMetadata:
 class Score2Coefficients:
     """One stratum column of the coefficient table."""
 
-    stratum: str
     b1: tuple[float, ...]  # main effects for the six standardized covariates
     b2: tuple[float, ...]  # age-interaction terms; first entry is exactly 0
     s0: float  # baseline 10-year survival
     c: float  # offset applied inside the exponent
-
-    def __post_init__(self):
-        if len(self.b1) != 6 or len(self.b2) != 6:
-            raise ValueError("b1/b2 must each hold 6 coefficients")
-        if self.b2[0] != 0.0:
-            raise ValueError("first age-interaction coefficient must be 0")
-        if not 0.0 < self.s0 < 1.0:
-            raise ValueError("baseline survival must lie in (0,1)")
-        if self.c < 0.0:
-            raise ValueError("offset c must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -106,28 +113,24 @@ class RiskScore:
 # holds the age interactions for the same covariates (age slot fixed at 0).
 COEFFICIENTS: dict[str, Score2Coefficients] = {
     "male<70": Score2Coefficients(
-        stratum="male<70",
         b1=(0.3742, 0.6012, 0.2777, 0.6457, 0.1458, -0.2698),
         b2=(0.0, -0.0755, -0.0255, -0.0281, 0.0426, -0.0983),
         s0=0.9605,
         c=0.0,
     ),
     "female<70": Score2Coefficients(
-        stratum="female<70",
         b1=(0.4648, 0.7744, 0.3131, 0.8096, 0.1002, -0.2606),
         b2=(0.0, -0.1088, -0.0277, -0.0226, 0.0613, -0.1272),
         s0=0.9776,
         c=0.0,
     ),
     "male>=70": Score2Coefficients(
-        stratum="male>=70",
         b1=(0.0634, 0.3524, 0.0094, 0.4245, 0.0850, -0.3564),
         b2=(0.0, -0.0247, -0.0005, 0.0073, 0.0091, -0.0174),
         s0=0.7576,
         c=0.0929,
     ),
     "female>=70": Score2Coefficients(
-        stratum="female>=70",
         b1=(0.0789, 0.4921, 0.0102, 0.6010, 0.0605, -0.3040),
         b2=(0.0, -0.0255, -0.0004, -0.0009, 0.0154, -0.0107),
         s0=0.8082,
@@ -144,50 +147,23 @@ def impute(
     """Fill absent covariates and count them.
 
     Cholesterol values draw Gaussian noise around the population reference
-    unless ``deterministic``; all other defaults are fixed. A missing gender
-    counts toward the missing total and falls back to ``DEFAULT_GENDER``.
-    Imputed values are not clamped to physiological ranges (negative draws
-    are possible at roughly five standard deviations and are left as-is).
+    unless ``deterministic``; all other defaults are fixed (see
+    ``COVARIATES``). A missing gender counts toward the missing total and
+    falls back to male. Imputed values are not clamped to physiological
+    ranges (negative draws are possible at roughly five standard deviations
+    and are left as-is).
     """
     if not deterministic and rng is None:
         raise ValueError("stochastic imputation needs a seeded generator")
-    missing = 0
-
-    def noise(sd: float) -> float:
-        return 0.0 if deterministic else float(rng.normal(0.0, sd))
-
-    age = record.age
-    if age is None:
-        age, missing = AGE_IMPUTE, missing + 1
-    gender = record.gender
-    if gender is None:
-        gender, missing = DEFAULT_GENDER, missing + 1
-    smoking = record.smoking
-    if smoking is None:
-        smoking, missing = 0, missing + 1
-    sbp = record.sbp
-    if sbp is None:
-        sbp, missing = SBP_IMPUTE, missing + 1
-    diabetes = record.diabetes
-    if diabetes is None:
-        diabetes, missing = 0, missing + 1
-    tchol = record.total_cholesterol
-    if tchol is None:
-        tchol, missing = TCHOL_IMPUTE_MEAN + noise(TCHOL_IMPUTE_SD), missing + 1
-    hdl = record.hdl_cholesterol
-    if hdl is None:
-        hdl, missing = HDL_IMPUTE_MEAN + noise(HDL_IMPUTE_SD), missing + 1
-
-    return ImputedMetadata(
-        age=float(age),
-        gender=gender,
-        smoking=int(smoking),
-        sbp=float(sbp),
-        diabetes=int(diabetes),
-        total_cholesterol=float(tchol),
-        hdl_cholesterol=float(hdl),
-        missing_count=missing,
-    )
+    values, missing = {}, 0
+    for name, _, kind, default, sd in COVARIATES:
+        v = getattr(record, name)
+        if v is None:
+            missing += 1
+            v = default if deterministic or not sd else default + float(rng.normal(0.0, sd))
+        _, _, cast = _KINDS[kind]
+        values[name] = cast(v)
+    return ImputedMetadata(**values, missing_count=missing)
 
 
 def standardize(meta: ImputedMetadata) -> np.ndarray:
@@ -241,52 +217,41 @@ def risk_from_record(
 
 
 # ---------------------------------------------------------------------------
-# CSV interface shared with the CLI (columns: age,gender,smoking,sbp,
-# diabetes,tchol,hdl; an empty cell means missing).
+# CSV interface shared with the CLI: one column per covariate, an empty cell
+# means missing.
 
-CSV_COLUMNS = ("age", "gender", "smoking", "sbp", "diabetes", "tchol", "hdl")
+CSV_COLUMNS = tuple(column for _, column, _, _, _ in COVARIATES)
 
 
-def record_from_csv_row(row: dict[str, str]) -> MetadataRecord:
-    def num(key: str) -> float | None:
-        v = row.get(key, "").strip()
-        return float(v) if v else None
+def _read_cell(column: str, kind: str, text: str) -> float | int | str:
+    if kind == "gender":
+        return text.lower()  # validated by MetadataRecord
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if kind == "number":
+        if value is None:
+            raise ValueError(f"column {column!r}: {text!r} is not a number")
+        return value
+    # "1.0" reads as 1; any other value than 0 or 1 is refused, not truncated
+    if value not in (0.0, 1.0):
+        raise ValueError(f"column {column!r}: {text!r} is not 0 or 1")
+    return int(value)
 
-    def binary(key: str) -> int | None:
-        # "1.0" reads as 1; any other value than 0 or 1 is refused, not truncated
-        v = row.get(key, "").strip()
-        if not v:
-            return None
-        try:
-            value = float(v)
-        except ValueError:
-            value = math.nan
-        if value not in (0.0, 1.0):
-            raise ValueError(f"column {key!r}: {v!r} is not 0 or 1")
-        return int(value)
 
-    gender = row.get("gender", "").strip().lower() or None
-    return MetadataRecord(
-        age=num("age"),
-        gender=gender,  # validated by MetadataRecord
-        smoking=binary("smoking"),
-        sbp=num("sbp"),
-        diabetes=binary("diabetes"),
-        total_cholesterol=num("tchol"),
-        hdl_cholesterol=num("hdl"),
-    )
+def record_from_csv_row(row: dict[str, str | None]) -> MetadataRecord:
+    """Read one row; an empty cell, or one a short row leaves out (``None``),
+    is a missing covariate. Callers check the header for absent columns."""
+    values = {}
+    for name, column, kind, _, _ in COVARIATES:
+        text = (row.get(column) or "").strip()
+        values[name] = _read_cell(column, kind, text) if text else None
+    return MetadataRecord(**values)
 
 
 def record_to_csv_row(record: MetadataRecord) -> dict[str, str]:
     def fmt(v) -> str:
         return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
 
-    return {
-        "age": fmt(record.age),
-        "gender": record.gender or "",
-        "smoking": fmt(record.smoking),
-        "sbp": fmt(record.sbp),
-        "diabetes": fmt(record.diabetes),
-        "tchol": fmt(record.total_cholesterol),
-        "hdl": fmt(record.hdl_cholesterol),
-    }
+    return {column: fmt(getattr(record, name)) for name, column, _, _, _ in COVARIATES}

@@ -98,22 +98,16 @@ class Adam:
             self.v[k] = np.asarray(arrays[f"v/{k}"], dtype=self.v[k].dtype).reshape(self.v[k].shape).copy()
 
 
-@dataclass
-class Schedule:
-    """Cosine learning-rate schedules over epochs."""
+def cosine_anneal(base_lr: float, period: int, epoch: int) -> float:
+    """Cosine learning rate from ``base_lr`` down to 0 at epoch ``period``."""
+    frac = min(epoch, period) / period
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
-    mode: str  # "cosine-anneal" | "cosine-warm-restarts"
-    base_lr: float
-    period: int
 
-    def lr(self, epoch: int) -> float:
-        if self.mode == "cosine-anneal":
-            frac = min(epoch, self.period) / max(self.period, 1)
-            return self.base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
-        if self.mode == "cosine-warm-restarts":
-            frac = (epoch % self.period) / max(self.period, 1)
-            return self.base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
-        raise ValueError(f"unknown schedule mode {self.mode!r}")
+def cosine_warm_restarts(base_lr: float, period: int, epoch: int) -> float:
+    """Cosine learning rate from ``base_lr``, restarted every ``period`` epochs."""
+    frac = (epoch % period) / period
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +325,6 @@ def pretrain(
         raise ValueError("not enough subjects to form a training batch")
 
     optimizer = Adam(encoder.params, lr=cfg.lr, weight_decay=cfg.weight_decay, decoupled=True)
-    schedule = Schedule(mode="cosine-anneal", base_lr=cfg.lr, period=cfg.epochs)
     start_epoch = 0
     best_val = math.inf
     best_epoch = -1
@@ -384,7 +377,7 @@ def pretrain(
     end_epoch = cfg.epochs if session_epochs is None else min(cfg.epochs,
                                                               start_epoch + session_epochs)
     for epoch in range(start_epoch, end_epoch):
-        lr = schedule.lr(epoch)
+        lr = cosine_anneal(cfg.lr, cfg.epochs, epoch)
         order = train_idx[_stream(cfg.seed, "order", epoch).permutation(len(train_idx))]
         epoch_loss, seen = 0.0, 0
         for bi, chunk in enumerate(_iter_batches(order, cfg.batch_size)):
@@ -523,12 +516,11 @@ def _fit(params: dict[str, Tensor], forward_loss, x_tr: np.ndarray, x_va: np.nda
     ``salt`` keys the per-epoch shuffle stream of this kind of fit.
     """
     optimizer = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay, decoupled=False)
-    schedule = Schedule(mode="cosine-warm-restarts", base_lr=cfg.lr, period=cfg.restart_period)
     best_loss, best = math.inf, {k: p.data.copy() for k, p in params.items()}
     bad = 0
     n = x_tr.shape[0]
     for epoch in range(cfg.epochs):
-        lr = schedule.lr(epoch)
+        lr = cosine_warm_restarts(cfg.lr, cfg.restart_period, epoch)
         order = _stream(cfg.seed, "order", epoch, salt).permutation(n)
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
@@ -616,10 +608,10 @@ ABLATION_VARIANTS: tuple[LossSpec, ...] = (
 )
 
 
-def lambda_mix_variants() -> tuple[LossSpec, ...]:
-    """w+d mixtures at lambda 5, 2, 1, 0.5 and 0.2, normalized by the sum of
-    their coefficients."""
-    return tuple(LossSpec("w+d", lam=l, normalize=True) for l in (5.0, 2.0, 1.0, 0.5, 0.2))
+# w+d mixtures at lambda 5, 2, 1, 0.5 and 0.2, normalized by the sum of their
+# coefficients
+LAMBDA_MIX_VARIANTS: tuple[LossSpec, ...] = tuple(
+    LossSpec("w+d", lam=l, normalize=True) for l in (5.0, 2.0, 1.0, 0.5, 0.2))
 
 
 def ablate(prep: PreparedPretrain, encoder_config, down_train: DownstreamDataset,

@@ -83,6 +83,51 @@ class TestScore2Command:
         assert f"row 1: column {column!r}: {value!r} is not 0 or 1" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("column,value", [
+        ("sbp", "12o"),
+        ("age", "sixty"),
+        ("tchol", "5,2"),
+        ("hdl", "1.3.0"),
+    ])
+    def test_non_number_cell_exit_2(self, runner, tmp_path, column, value):
+        row = {"age": "60", "gender": "male", "smoking": "0", "sbp": "120",
+               "diabetes": "0", "tchol": "6", "hdl": "1.3", column: value}
+        src = tmp_path / "meta.csv"
+        with open(src, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerow(row)
+        result = runner.invoke(main, ["score2", "--input", str(src)])
+        assert result.exit_code == 2, result.output
+        assert f"row 0: column {column!r}: {value!r} is not a number" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("header,absent", [
+        ("age,gender,smoking,sbp,diabetes,tchol,hdll", "hdl"),
+        ("subject_id,age,sex,smoking,sbp,diabetes,tchol,hdl", "gender"),
+        ("", "age"),
+    ])
+    def test_header_without_a_column_exit_2(self, runner, tmp_path, header, absent):
+        src = tmp_path / "meta.csv"
+        src.write_text(f"{header}\n" if header else "")
+        result = runner.invoke(main, ["score2", "--input", str(src)])
+        assert result.exit_code == 2, result.output
+        assert f"has no {absent!r} column" in result.output
+
+    def test_extra_columns_and_short_rows(self, runner, tmp_path):
+        # cells a short row leaves out read as missing, like empty ones
+        src = tmp_path / "meta.csv"
+        src.write_text("subject_id,age,gender,smoking,sbp,diabetes,tchol,hdl\n"
+                       "s0,60,male,0,120,0,6,1.3\n"
+                       "s1,60,male\n")
+        result = runner.invoke(main, ["score2", "--input", str(src)])
+        assert result.exit_code == 0, result.output
+        rows = list(csv.DictReader(result.output.splitlines()))
+        assert list(rows[0]) == ["age", "gender", "smoking", "sbp", "diabetes", "tchol",
+                                 "hdl", "r", "m"]
+        assert (rows[0]["m"], rows[1]["m"]) == ("0", "5")
+        assert rows[1]["sbp"] == ""
+
 
 class TestGenData:
     def test_generates_and_echoes_config(self, runner, tmp_path):

@@ -161,8 +161,8 @@ class TestStratum:
         assert (c.b1[0], c.s0, c.c) == (0.4648, 0.9776, 0.0)
 
     def test_age_70_goes_to_older_group(self):
-        assert select_stratum(70, "female").stratum == "female>=70"
-        assert select_stratum(69.999, "female").stratum == "female<70"
+        assert select_stratum(70, "female") is COEFFICIENTS["female>=70"]
+        assert select_stratum(69.999, "female") is COEFFICIENTS["female<70"]
 
     def test_bad_age(self):
         with pytest.raises(ValueError):
@@ -245,6 +245,7 @@ class TestScore2:
     def test_coefficient_table_invariants(self):
         assert len(COEFFICIENTS) == 4
         for coef in COEFFICIENTS.values():
+            assert len(coef.b1) == 6 and len(coef.b2) == 6
             assert coef.b2[0] == 0.0
             assert 0.0 < coef.s0 < 1.0
             assert coef.c >= 0.0

@@ -13,15 +13,16 @@ from riskclr.encoder import STANDARD_CONFIGS, build, load_checkpoint
 from riskclr.losses import LossSpec
 from riskclr.train import (
     ABLATION_VARIANTS,
+    LAMBDA_MIX_VARIANTS,
     Adam,
     DownstreamConfig,
     PreparedPretrain,
     PretrainConfig,
-    Schedule,
     ablate,
+    cosine_anneal,
+    cosine_warm_restarts,
     evaluate_head,
     finetune,
-    lambda_mix_variants,
     linear_probe,
     pretrain,
 )
@@ -83,20 +84,14 @@ class TestAdam:
 
 class TestSchedule:
     def test_cosine_anneal_endpoints(self):
-        s = Schedule(mode="cosine-anneal", base_lr=1.0, period=10)
-        assert s.lr(0) == 1.0
-        assert s.lr(10) == pytest.approx(0.0, abs=1e-12)
-        assert 0.0 < s.lr(9) < s.lr(1) <= 1.0
+        assert cosine_anneal(1.0, 10, 0) == 1.0
+        assert cosine_anneal(1.0, 10, 10) == pytest.approx(0.0, abs=1e-12)
+        assert 0.0 < cosine_anneal(1.0, 10, 9) < cosine_anneal(1.0, 10, 1) <= 1.0
 
     def test_warm_restarts_reset(self):
-        s = Schedule(mode="cosine-warm-restarts", base_lr=1.0, period=10)
-        assert s.lr(0) == 1.0
-        assert s.lr(10) == 1.0
-        assert s.lr(15) == pytest.approx(0.5 * (1 + math.cos(math.pi * 0.5)))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            Schedule(mode="step", base_lr=1.0, period=5).lr(0)
+        assert cosine_warm_restarts(1.0, 10, 0) == 1.0
+        assert cosine_warm_restarts(1.0, 10, 10) == 1.0
+        assert cosine_warm_restarts(1.0, 10, 15) == pytest.approx(0.5 * (1 + math.cos(math.pi * 0.5)))
 
 
 class TestPretrainLoop:
@@ -382,9 +377,8 @@ class TestAblate:
         assert labels == ["nce", "w", "d", "nce+d", "w+d"]
 
     def test_lambda_mixes(self):
-        mixes = lambda_mix_variants()
-        assert [m.lam for m in mixes] == [5.0, 2.0, 1.0, 0.5, 0.2]
-        assert all(m.normalize for m in mixes)
+        assert [m.lam for m in LAMBDA_MIX_VARIANTS] == [5.0, 2.0, 1.0, 0.5, 0.2]
+        assert all(m.normalize for m in LAMBDA_MIX_VARIANTS)
 
     def test_harness_runs_and_controls_variables(self, tiny_world):
         prep, (tr, va, te) = tiny_world
