@@ -10,10 +10,10 @@ values, optionally with Gaussian noise for the cholesterol pair) and counted;
 the count travels with the risk value so batch weighting can discount
 poorly-supported scores.
 
-The CSV reader names the column of a cell it cannot read: a number cell that
-does not parse, or a binary cell other than 0 or 1. A header that lacks one
-of the seven columns is refused by the ``score2`` command before any row is
-read, so a misspelled column cannot be imputed on every row.
+The CSV reader refuses a cell the record would refuse, or a number cell that
+does not parse, with a message that names the cell's column. The ``score2``
+command refuses a header that lacks one of the seven columns before it reads
+any row, so a misspelled column cannot be imputed on every row.
 
 Regional calibration is deliberately omitted: the uncalibrated 10-year risk
 is used directly.
@@ -224,20 +224,20 @@ CSV_COLUMNS = tuple(column for _, column, _, _, _ in COVARIATES)
 
 
 def _read_cell(column: str, kind: str, text: str) -> float | int | str:
+    valid, expected, cast = _KINDS[kind]
     if kind == "gender":
-        return text.lower()  # validated by MetadataRecord
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if kind == "number":
-        if value is None:
-            raise ValueError(f"column {column!r}: {text!r} is not a number")
-        return value
-    # "1.0" reads as 1; any other value than 0 or 1 is refused, not truncated
-    if value not in (0.0, 1.0):
-        raise ValueError(f"column {column!r}: {text!r} is not 0 or 1")
-    return int(value)
+        value = text.lower()
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            if kind == "number":
+                raise ValueError(f"column {column!r}: {text!r} is not a number") from None
+            value = math.nan
+    # a binary "1.0" reads as 1; any other value than 0 or 1 is refused, not truncated
+    if not valid(value):
+        raise ValueError(f"column {column!r}: {text!r} is not {expected}")
+    return cast(value)
 
 
 def record_from_csv_row(row: dict[str, str | None]) -> MetadataRecord:

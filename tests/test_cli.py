@@ -83,13 +83,16 @@ class TestScore2Command:
         assert f"row 1: column {column!r}: {value!r} is not 0 or 1" in result.output
         assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("column,value", [
-        ("sbp", "12o"),
-        ("age", "sixty"),
-        ("tchol", "5,2"),
-        ("hdl", "1.3.0"),
+    @pytest.mark.parametrize("column,value,wanted", [
+        ("sbp", "12o", "a number"),
+        ("age", "sixty", "a number"),
+        ("tchol", "5,2", "a number"),
+        ("hdl", "1.3.0", "a number"),
+        ("tchol", "-1", "positive and finite"),
+        ("sbp", "inf", "positive and finite"),
+        ("gender", "other", "'male' or 'female'"),
     ])
-    def test_non_number_cell_exit_2(self, runner, tmp_path, column, value):
+    def test_bad_cell_names_its_column(self, runner, tmp_path, column, value, wanted):
         row = {"age": "60", "gender": "male", "smoking": "0", "sbp": "120",
                "diabetes": "0", "tchol": "6", "hdl": "1.3", column: value}
         src = tmp_path / "meta.csv"
@@ -99,7 +102,7 @@ class TestScore2Command:
             writer.writerow(row)
         result = runner.invoke(main, ["score2", "--input", str(src)])
         assert result.exit_code == 2, result.output
-        assert f"row 0: column {column!r}: {value!r} is not a number" in result.output
+        assert f"row 0: column {column!r}: {value!r} is not {wanted}" in result.output
         assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("header,absent", [

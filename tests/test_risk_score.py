@@ -110,6 +110,14 @@ class TestImputation:
         assert meta.total_cholesterol != 5.2 or meta.hdl_cholesterol != 1.3
         assert meta.age == 60 and meta.sbp == 120.0
 
+    def test_stochastic_draw_order(self):
+        # only the cholesterol pair draws: total first, then HDL
+        meta = impute(MetadataRecord(), rng=np.random.default_rng(3))
+        ref = np.random.default_rng(3)
+        assert meta.total_cholesterol == 5.2 + float(ref.normal(0.0, 0.5))
+        assert meta.hdl_cholesterol == 1.3 + float(ref.normal(0.0, 0.2))
+        assert (meta.age, meta.sbp, meta.missing_count) == (40.0, 120.0, 7)
+
     def test_stochastic_without_rng_rejected(self):
         with pytest.raises(ValueError):
             impute(MetadataRecord(age=60, gender="male"), deterministic=False)
