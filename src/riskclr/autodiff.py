@@ -6,9 +6,11 @@ Design notes:
     (vector-Jacobian product) on the tape. ``Tape.backward`` replays the
     VJPs in reverse execution order, which is a valid reverse topological
     order because execution order itself is topological.
-  * Layout convention for sequence data is channels-last ``(batch, length,
-    channels)`` so a 1x1 convolution of one sample and a dense layer map onto
-    single BLAS calls.
+  * Layout convention for sequence data is channels-first ``(batch,
+    channels, length)``: each channel's time row is contiguous, so a grouped
+    convolution of one sample is one batched GEMM over its groups whose
+    im2col copies whole rows, and the time mean, the bias sum and the gate's
+    dot products are contiguous last-axis reductions.
   * Storage is float64, or float32 when the inputs are float32; reductions
     accumulate float32 in float64.
   * Every full-size pass of the encoder splits over the process's CPUs
@@ -79,16 +81,15 @@ class Tensor:
     carry the ``_Node`` the tape knows them by.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype != np.float32 and arr.dtype != np.float64:
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: Array | None = None
         self.requires_grad = requires_grad
-        self.name = name
         self._node: _Node | None = None
 
     @property
@@ -97,10 +98,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
 
 
 class _Node:
@@ -418,14 +415,15 @@ def swish(a) -> Tensor:
 
 
 def gate(h, gate) -> Tensor:
-    """Channel gating ``h + h * gate`` of ``h`` (B, L, C) by ``gate`` (B, C),
-    computed as ``h * (1 + gate)`` in one pass; ``dgate`` is one einsum per sample."""
+    """Channel gating ``h + h * gate`` of ``h`` (B, C, L) by ``gate`` (B, C),
+    computed as ``h * (1 + gate)`` in one pass; ``dgate`` is one einsum per
+    sample, a dot product of each channel's contiguous time row."""
     h, gate = _as_tensor(h), _as_tensor(gate)
-    if h.data.ndim != 3 or gate.data.shape != (h.data.shape[0], h.data.shape[2]):
-        raise AutodiffError(f"gate expects h (B,L,C) and gate (B,C), got {h.data.shape} "
+    if h.data.ndim != 3 or gate.data.shape != h.data.shape[:2]:
+        raise AutodiffError(f"gate expects h (B,C,L) and gate (B,C), got {h.data.shape} "
                             f"and {gate.data.shape}")
     hd, gate_shape = h.data, gate.data.shape
-    scale = (1.0 + gate.data)[:, None, :]
+    scale = (1.0 + gate.data)[:, :, None]
     data = np.empty(hd.shape, dtype=np.result_type(hd, scale))
     _parallel(len(hd), lambda lo, hi: np.multiply(hd[lo:hi], scale[lo:hi], out=data[lo:hi]))
     handles = _handles(h, gate)
@@ -437,7 +435,7 @@ def gate(h, gate) -> Tensor:
         def slice_vjp(lo, hi):
             np.multiply(g[lo:hi], scale[lo:hi], out=dh[lo:hi])
             for i in range(lo, hi):
-                np.einsum("lc,lc->c", g[i], hd[i], out=dgate[i])
+                np.einsum("cl,cl->c", g[i], hd[i], out=dgate[i])
 
         _parallel(len(g), slice_vjp)
         return [(t, d) for t, d in zip(handles, (dh, dgate)) if t is not None]
@@ -504,19 +502,19 @@ def transpose(a) -> Tensor:
 
 def _reduce(a, axis: int | None, fn) -> Tensor:
     """``np.sum`` or ``np.mean`` over ``axis`` (all axes when None);
-    float32 storage accumulates in float64. Over the time axis of a (B, L,
-    C) array, the forward pass (one call per sample) and the VJP's fill
-    split the batch over the CPUs."""
+    float32 storage accumulates in float64. Over the time axis of a (B, C,
+    L) array, each channel's sum runs over its contiguous row, so a
+    sample's result has the bits it has alone, and the forward pass and the
+    VJP's fill split the batch over the CPUs."""
     a = _as_tensor(a)
     x = a.data
     wide = {"dtype": np.float64} if x.dtype == np.float32 else {}
-    per_sample = axis == 1 and x.ndim == 3
+    per_sample = axis == 2 and x.ndim == 3
     if per_sample:
-        data = np.empty((x.shape[0], x.shape[2]), dtype=x.dtype)
+        data = np.empty(x.shape[:2], dtype=x.dtype)
 
         def forward(lo, hi):
-            for i in range(lo, hi):
-                data[i] = fn(x[i], axis=0, **wide)  # rounds as astype does
+            data[lo:hi] = fn(x[lo:hi], axis=2, **wide)  # rounds as astype does
 
         _parallel(len(x), forward)
     else:
@@ -607,151 +605,155 @@ def row_l2_normalize(a) -> Tensor:
 
 def _im2col_scratch(n: int, c: int, kernel: int, stride: int, at: int, start: int,
                     count: int, dtype) -> Callable[[Array], Array]:
-    """One slice's scratch for samples of ``n`` rows of ``c`` channels: a
-    zero row and a (count, kernel*c) column matrix, allocated by the caller.
+    """One slice's scratch for (c, n) samples, allocated by the caller: a
+    zero block of ``c`` rows, just long enough for the sample and the last
+    window, and a (c, kernel, count) column array.
 
-    The returned ``cols_of(sample)`` copies ``sample`` into the row at offset
-    ``at`` (the zeros around it are the padding) and returns the columns of
-    the ``count`` windows that start at ``start``, ``start + stride``, ...
-    The row is just long enough for the sample and the last window. The
-    window view is built once per buffer, not once per sample. When the
-    windows are the sample's own rows (kernel and stride 1, no offset,
-    ``count == n``), ``cols_of`` returns the sample itself.
+    The returned ``cols_of(sample)`` copies ``sample`` into the block at
+    step ``at`` (the zeros around it are the padding) and returns the
+    columns of the ``count`` windows that start at ``start``, ``start +
+    stride``, ...: ``cols[c, k]`` is row ``c`` shifted by tap ``k``, copied
+    whole. The window view is built once per buffer. When the windows are
+    the sample's own steps, ``cols_of`` returns the sample itself.
     """
     if kernel == stride == 1 and at == start == 0 and count == n:
         return lambda sample: sample
-    row = np.zeros((max(at + n, start + (count - 1) * stride + kernel), c), dtype=dtype)
-    cols = np.empty((count, kernel * c), dtype=dtype)
-    win = np.lib.stride_tricks.sliding_window_view(row, kernel, axis=0)  # (L', c, K)
-    win = win[start : start + (count - 1) * stride + 1 : stride].transpose(0, 2, 1)
-    cols3 = cols.reshape(count, kernel, c)
+    row = np.zeros((c, max(at + n, start + (count - 1) * stride + kernel)), dtype=dtype)
+    cols = np.empty((c, kernel, count), dtype=dtype)
+    win = np.lib.stride_tricks.sliding_window_view(row, kernel, axis=1)  # (c, L', K)
+    win = win[:, start : start + (count - 1) * stride + 1 : stride].transpose(0, 2, 1)
 
     def cols_of(sample: Array) -> Array:
-        row[at : at + len(sample)] = sample
-        np.copyto(cols3, win)
+        row[:, at : at + sample.shape[1]] = sample
+        np.copyto(cols, win)
         return cols
 
     return cols_of
 
 
-def _correlate(x: Array, w: Array, out: Array, kernel: int, stride: int, at: int, start: int,
+def _gemm_weight(w: Array, groups: int, adjoint: bool = False) -> Array:
+    """The (K, C_in/groups, C_out) weight ``w`` as ``groups`` GEMM operands
+    (groups, C_out/groups, C_in/groups * K), whose columns run over
+    (channel, tap) as the rows of ``_im2col_scratch``'s columns do. The
+    ``adjoint`` operands (groups, C_in/groups, C_out/groups * K) map an
+    output gradient back to the input: each group's kernel transposed, its
+    taps reversed."""
+    kernel, c_in_g, c_out = w.shape
+    w4 = w.reshape(kernel, c_in_g, groups, c_out // groups)
+    w4 = w4[::-1].transpose(2, 1, 3, 0) if adjoint else w4.transpose(2, 3, 1, 0)
+    return np.ascontiguousarray(w4).reshape(groups, w4.shape[1], -1)
+
+
+def _correlate(x: Array, wt: Array, out: Array, kernel: int, stride: int, at: int, start: int,
                bias: Array | None = None) -> None:
-    """``out[i] = cols_i @ w + bias`` for every sample, where ``cols_i`` holds
-    the ``len(out[i])`` windows of ``kernel`` rows that start at ``start``,
-    ``start + stride``, ... of a zero row with ``x[i]`` placed at ``at``.
-    The batch is split over the process's CPUs (see ``_parallel``).
+    """``out[i] = wt @ cols_i + bias`` per group for every sample, where
+    ``cols_i`` holds the ``out.shape[2]`` windows of ``kernel`` steps that
+    start at ``start``, ``start + stride``, ... of a zero block with
+    ``x[i]`` placed at ``at``, and ``wt`` is a ``_gemm_weight``. The batch
+    is split over the process's CPUs (see ``_parallel``).
     """
-    batch, n, c = x.shape
+    batch, c, n = x.shape
+    groups, c_out_g, width = wt.shape
 
     def windows(lo, hi, cols_of):
         for i in range(lo, hi):
-            np.matmul(cols_of(x[i]), w, out=out[i])
+            cols = cols_of(x[i]).reshape(groups, width, -1)
+            np.matmul(wt, cols, out=out[i].reshape(groups, c_out_g, -1))
             if bias is not None:
-                out[i] += bias
+                out[i] += bias[:, None]
 
     _parallel(batch, windows,
-              lambda: _im2col_scratch(n, c, kernel, stride, at, start, out.shape[1], x.dtype))
+              lambda: _im2col_scratch(n, c, kernel, stride, at, start, out.shape[2], x.dtype))
 
 
-def _channel_sum(g: Array) -> Array:
-    """Float64 sum over the rows of each sample of ``g`` (..., L, C): a
-    sample's rows are viewed as wide rows (L/R, R*C) with R*C about 512,
-    summed down, and the R groups folded, then the L % R rows left over
-    added. Each sample's sum has the bits it has alone."""
-    *lead, length, c = g.shape
-    r = max(512 // c, 1)
-    m = length // r
-    acc = g[..., : m * r, :].reshape(*lead, m, r * c).sum(axis=-2, dtype=np.float64)
-    acc = acc.reshape(*lead, r, c).sum(axis=-2)
-    acc += g[..., m * r :, :].sum(axis=-2, dtype=np.float64)
-    return acc
-
-
-def _conv1d_param_grads(xd: Array, g: Array, w2: Array, kernel: int, stride: int, pad_l: int,
+def _conv1d_param_grads(xd: Array, g: Array, wt: Array, kernel: int, stride: int, pad_l: int,
                         bias: bool) -> tuple[Array, Array | None]:
-    """d(loss)/d(w2), and d(loss)/d(bias) when ``bias`` asks for it, for
-    conv1d: the sums over samples of ``cols_i.T @ g_i``, with ``cols_i`` the
-    im2col columns of ``xd[i]``, and of ``g_i``'s float64 ``_channel_sum``.
+    """d(loss)/d(wt) for conv1d's ``_gemm_weight`` ``wt``, and d(loss)/d(bias)
+    when ``bias`` asks for it: the sums over samples of ``g_i @ cols_i.T``
+    per group, with ``cols_i`` the im2col columns of ``xd[i]``, and of
+    ``g_i``'s float64 sums over time.
 
     The batch runs in rounds: the slices write each sample's product and
     sum, then the calling thread adds them in sample order. The products
     buffer holds at least ``_WORKERS`` of them and otherwise stays under
     ``_PRODUCTS_BYTES``, whatever the batch size.
     """
-    batch, length, c_in = xd.shape
+    batch, c_in, length = xd.shape
+    groups, c_out_g, width = wt.shape
     dtype = np.result_type(xd, g)
-    step = max(_WORKERS, _PRODUCTS_BYTES // (w2.size * dtype.itemsize))
+    step = max(_WORKERS, _PRODUCTS_BYTES // (wt.size * dtype.itemsize))
     rows = min(step, batch)
-    products = np.empty((rows,) + w2.shape, dtype=dtype)
-    sums = np.empty((rows, g.shape[2])) if bias else None
-    buffers = [_im2col_scratch(length, c_in, kernel, stride, pad_l, 0, g.shape[1], xd.dtype)
+    products = np.empty((rows,) + wt.shape, dtype=dtype)
+    sums = np.empty((rows, g.shape[1])) if bias else None
+    buffers = [_im2col_scratch(length, c_in, kernel, stride, pad_l, 0, g.shape[2], xd.dtype)
                for _ in range(min(_WORKERS, rows))]
-    dw2 = np.zeros_like(w2)
-    db = np.zeros(g.shape[2]) if bias else None
+    dwt = np.zeros_like(wt)
+    db = np.zeros(g.shape[1]) if bias else None
     for start in range(0, batch, step):
         count = min(step, batch - start)
 
         def sample_sums(lo, hi, cols_of, start=start):
             for i in range(lo, hi):
-                np.matmul(cols_of(xd[start + i]).T, g[start + i], out=products[i])
+                cols = cols_of(xd[start + i]).reshape(groups, width, -1)
+                np.matmul(g[start + i].reshape(groups, c_out_g, -1), cols.transpose(0, 2, 1),
+                          out=products[i])
             if bias:
-                sums[lo:hi] = _channel_sum(g[start + lo : start + hi])
+                np.sum(g[start + lo : start + hi], axis=2, dtype=np.float64, out=sums[lo:hi])
 
         _parallel(count, sample_sums, iter(buffers).__next__)  # reused each round
         for i in range(count):
-            dw2 += products[i]
+            dwt += products[i]
             if bias:
                 db += sums[i]
-    return dw2, None if db is None else db.astype(g.dtype)
+    return dwt, None if db is None else db.astype(g.dtype)
 
 
-def _conv1d_input_grad(g: Array, w2: Array, kernel: int, stride: int, length: int, pad_l: int) -> Array:
-    """d(loss)/d(x) for conv1d from the output gradient ``g`` (B, out_len,
-    C_out) and the dense (K*C_in, C_out) weight ``w2``.
+def _conv1d_input_grad(g: Array, w: Array, groups: int, stride: int, length: int,
+                       pad_l: int) -> Array:
+    """d(loss)/d(x) for conv1d from the output gradient ``g`` (B, C_out,
+    out_len) and the (K, C_in/groups, C_out) weight ``w``.
 
     The adjoint of a strided correlation is a stride-1 "full" correlation of
     the output gradient, zero-dilated by the stride, with the flipped kernel
-    (Dumoulin & Visin, arXiv 1603.07285): ``dx[t] = sum_k gd[t + pad_l - k]
-    @ w[k].T``. So it runs through the same ``_correlate`` as the forward
-    pass, with ``gd`` placed after ``kernel - 1`` zero rows.
+    (Dumoulin & Visin, arXiv 1603.07285): ``dx[:, t] = sum_k w[k].T @ gd[:,
+    t + pad_l - k]`` per group. So it runs through the same ``_correlate``
+    as the forward pass, with ``gd`` placed after ``kernel - 1`` zero steps,
+    on ``_gemm_weight``'s adjoint operands.
     """
-    batch, out_len, c_out = g.shape
-    c_in = w2.shape[0] // kernel
+    batch, c_out, out_len = g.shape
+    kernel = w.shape[0]
     if stride > 1:
-        gd = np.zeros((batch, (out_len - 1) * stride + 1, c_out), dtype=g.dtype)
-        gd[:, ::stride] = g
+        gd = np.zeros((batch, c_out, (out_len - 1) * stride + 1), dtype=g.dtype)
+        gd[:, :, ::stride] = g
         g = gd
-    # w2 rows are ordered (k, c_in); flip k and swap to (k, c_out) rows
-    wf = w2.T if kernel == 1 else np.ascontiguousarray(
-        w2.reshape(kernel, c_in, c_out)[::-1].transpose(0, 2, 1)).reshape(kernel * c_out, c_in)
-    dx = np.empty((batch, length, c_in), dtype=g.dtype)
-    _correlate(g, wf, dx, kernel, 1, kernel - 1, pad_l)
+    dx = np.empty((batch, w.shape[1] * groups, length), dtype=g.dtype)
+    _correlate(g, _gemm_weight(w, groups, adjoint=True), dx, kernel, 1, kernel - 1, pad_l)
     return dx
 
 
 def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
-    """Grouped 1-D convolution over channels-last input.
+    """Grouped 1-D convolution over channels-first input.
 
-    x: (B, L, C_in); w: (K, C_in // groups, C_out); b: (C_out,) or None.
+    x: (B, C_in, L); w: (K, C_in // groups, C_out); b: (C_out,) or None.
     "same"-style zero padding keeps the output length at ceil(L / stride).
     Output channel block ``o`` in group ``o // (C_out/groups)`` sees only its
     group's input channels.
 
-    The grouped kernel runs as a dense GEMM with a block-diagonal weight.
-    The forward pass and the input VJP are one correlation (``_correlate``):
-    the input VJP correlates the output gradient, zero-dilated by the
-    stride, with the flipped kernel. Every pass, whatever the kernel, loops
-    over the samples of each ``_parallel`` slice and pads each sample into a
-    scratch row, so no padded copy of the batch exists; a 1x1 kernel reads
-    the sample itself. The weight and bias gradients are per-sample products
-    and float64 sums (``_conv1d_param_grads``), added in sample order by the
+    Each pass loops over the samples of each ``_parallel`` slice, and each
+    sample runs as one batched GEMM over the groups, (groups, C_out/groups,
+    C_in/groups * K) @ (groups, C_in/groups * K, out_len), so a grouped
+    kernel does only its own FLOPs. The forward pass and the input VJP are
+    one correlation (``_correlate``) that pads each sample into a scratch
+    block, so no padded copy of the batch exists. The weight and bias
+    gradients are per-sample products of the weight's size and float64 sums
+    over time (``_conv1d_param_grads``), added in sample order by the
     calling thread a bounded round at a time, so every result is
     bit-identical for any CPU count (at a fixed BLAS thread count).
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3:
-        raise AutodiffError("conv1d expects x (B,L,C) and w (K,C_in/groups,C_out)")
-    batch, length, c_in = x.data.shape
+        raise AutodiffError("conv1d expects x (B,C,L) and w (K,C_in/groups,C_out)")
+    batch, c_in, length = x.data.shape
     kernel, c_in_g, c_out = w.data.shape
     if c_in % groups != 0 or c_out % groups != 0:
         raise AutodiffError(f"groups={groups} must divide in/out channels ({c_in}, {c_out})")
@@ -760,54 +762,32 @@ def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
 
     out_len = -(-length // stride)  # ceil
     pad_l = max((out_len - 1) * stride + kernel - length, 0) // 2
-    xd = x.data
-    wd = _expand_grouped(w.data, c_in, c_out, groups)
-    w2 = np.ascontiguousarray(wd.reshape(kernel * c_in, c_out))
+    xd, wd = x.data, w.data
+    wt = _gemm_weight(wd, groups)
     inputs = [x, w]
     bias = None
     if b is not None:
         b = _as_tensor(b)
         bias = b.data
         inputs.append(b)
-    data = np.empty((batch, out_len, c_out), dtype=xd.dtype)
-    _correlate(xd, w2, data, kernel, stride, pad_l, 0, bias)
+    data = np.empty((batch, c_out, out_len), dtype=xd.dtype)
+    _correlate(xd, wt, data, kernel, stride, pad_l, 0, bias)
     hx, hw, hb = _handles(x, w, b)
 
     def vjp(g):
         if hw is not None or hb is not None:
-            dw2, db = _conv1d_param_grads(xd, g, w2, kernel, stride, pad_l, hb is not None)
+            dwt, db = _conv1d_param_grads(xd, g, wt, kernel, stride, pad_l, hb is not None)
         pairs = []
-        if hw is not None:
-            pairs.append((hw, _collapse_grouped(dw2.reshape(kernel, c_in, c_out), c_in, c_out, groups)))
+        if hw is not None:  # the (groups, C_out/groups, C_in/groups * K) product as w's layout
+            dw = dwt.reshape(groups, c_out // groups, c_in_g, kernel).transpose(3, 2, 0, 1)
+            pairs.append((hw, dw.reshape(wd.shape)))
         if hx is not None:
-            pairs.append((hx, _conv1d_input_grad(g, w2, kernel, stride, length, pad_l)))
+            pairs.append((hx, _conv1d_input_grad(g, wd, groups, stride, length, pad_l)))
         if hb is not None:
             pairs.append((hb, db))
         return pairs
 
     return _make_out(data, inputs, vjp)
-
-
-def _expand_grouped(w: Array, c_in: int, c_out: int, groups: int) -> Array:
-    if groups == 1:
-        return w
-    kernel = w.shape[0]
-    cg, og = c_in // groups, c_out // groups
-    dense_w = np.zeros((kernel, c_in, c_out), dtype=w.dtype)
-    for g in range(groups):
-        dense_w[:, g * cg : (g + 1) * cg, g * og : (g + 1) * og] = w[:, :, g * og : (g + 1) * og]
-    return dense_w
-
-
-def _collapse_grouped(dw_dense: Array, c_in: int, c_out: int, groups: int) -> Array:
-    if groups == 1:
-        return dw_dense
-    kernel = dw_dense.shape[0]
-    cg, og = c_in // groups, c_out // groups
-    dw = np.empty((kernel, cg, c_out), dtype=dw_dense.dtype)
-    for g in range(groups):
-        dw[:, :, g * og : (g + 1) * og] = dw_dense[:, g * cg : (g + 1) * cg, g * og : (g + 1) * og]
-    return dw
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +832,6 @@ def grad_check(
     return worst
 
 
-def parameter(data, name: str | None = None) -> Tensor:
+def parameter(data) -> Tensor:
     """Leaf tensor with gradients enabled; float32 storage is preserved."""
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, requires_grad=True)

@@ -12,7 +12,9 @@ gate is constant over time, so the last stage computes it as ``pooled * (1
 + gate)`` from the mean it already took for its gate, and never builds its
 full-size gated output.
 
-No normalization layers anywhere; temporal downsampling happens only at the
+Activations are channels-first (batch, channels, time), the engine's layout
+(see ``autodiff``), so the time means reduce the last axis. No
+normalization layers anywhere; temporal downsampling happens only at the
 stem. The per-stage bottleneck width is round(stage_channels * ratio) and
 must be divisible by the group width.
 
@@ -160,7 +162,7 @@ class Encoder:
                 arr = np.zeros(shape)
             else:
                 arr = _he_normal(rng, shape, fan_in, scale)
-            self.params[name] = ad.parameter(arr.astype(self.dtype), name=name)
+            self.params[name] = ad.parameter(arr.astype(self.dtype))
 
     # -- forward -----------------------------------------------------------
 
@@ -193,7 +195,7 @@ class Encoder:
     def _chunk(self, x: np.ndarray) -> Tensor:
         """The encoder on one chunk of (batch, t) signals."""
         p = self.params
-        h = ad.swish(ad.conv1d(x[:, :, None], p["stem.w"], p["stem.b"], stride=STEM_STRIDE))
+        h = ad.swish(ad.conv1d(x[:, None, :], p["stem.w"], p["stem.b"], stride=STEM_STRIDE))
         in_ch = self.config.hidden_dim
         for si, (ch, blocks) in enumerate(self.config.stages):
             d1 = self.config.stage_width(ch)
@@ -208,7 +210,7 @@ class Encoder:
                 h = ad.add(y, h)
                 in_ch = ch
             g = f"stage{si}.gate"
-            pooled = ad.mean(h, axis=1)
+            pooled = ad.mean(h, axis=2)
             gate = ad.swish(ad.dense(pooled, p[f"{g}.fc1.w"], p[f"{g}.fc1.b"]))
             gate = ad.sigmoid(ad.dense(gate, p[f"{g}.fc2.w"], p[f"{g}.fc2.b"]))
             if si < len(self.config.stages) - 1:

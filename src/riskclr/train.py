@@ -9,6 +9,7 @@ moments, the epoch cursor and the pretraining config.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -274,15 +275,29 @@ def _iter_batches(order: np.ndarray, batch_size: int):
             yield chunk
 
 
+def blas_thread_count() -> int | None:
+    """The thread count that the scipy-openblas numpy's wheels ship reports,
+    asked through ``ctypes`` on numpy's core extension, whose symbol lookup
+    searches the libraries it links; None for another BLAS build."""
+    core = getattr(np, "_core", None) or np.core  # numpy 1.x has no _core
+    try:
+        query = ctypes.CDLL(core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):  # AttributeError: no such symbol there
+        return None
+    return query()  # ctypes' default restype is int
+
+
 def host_conditions() -> dict:
     """What a run's bits depend on beyond its config and seed: the BLAS
-    thread variables, the BLAS build numpy reports, numpy's version and the
-    CPUs the encoder splits its batches over (see riskclr.autodiff)."""
+    thread variables and count, the BLAS build numpy reports, numpy's
+    version and the CPUs the encoder splits its batches over (see
+    riskclr.autodiff)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 reports no dict
         blas = {}
     return {"blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "blas_thread_count": blas_thread_count(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "numpy": np.__version__, "cpus": ad._WORKERS}
 
@@ -312,7 +327,8 @@ def pretrain(
     ``cfg``, and resuming under another ``cfg`` or encoder, or from a config
     with a field this version lacks, raises ``ResumeError`` naming the first
     field that differs. Its meta also records ``host_conditions()`` under
-    ``host``, outside ``config``: resuming on another host is not refused.
+    ``host``, outside ``config``; of those, only another ``blas_thread_count``
+    refuses a resume (``ResumeError``), since the bits depend on it.
     """
     if bank is None:
         bank = NoiseBank.synthetic(seed=cfg.seed)
@@ -349,6 +365,10 @@ def pretrain(
                                   f"this run has {name}={config[name]!r}")
         if enc2.config != encoder.config or enc2.dtype != encoder.dtype:
             raise ResumeError("resume checkpoint was built for a different encoder config or dtype")
+        threads = meta.get("host", {}).get("blas_thread_count", host["blas_thread_count"])
+        if threads != host["blas_thread_count"]:  # a checkpoint that predates the field passes
+            raise ResumeError(f"resume checkpoint was trained with blas_thread_count={threads!r}, "
+                              f"this run has blas_thread_count={host['blas_thread_count']!r}")
         encoder.load_state_arrays(enc2.state_arrays())
         optimizer.load_state_arrays({k[len("opt/") :]: v for k, v in extra.items()
                                      if k.startswith("opt/")})

@@ -54,10 +54,6 @@ class BatchRiskInfo:
         if not np.array_equal(r, r[pos]):
             raise ValueError("positive partners must share the same risk score")
 
-    @property
-    def n_views(self) -> int:
-        return self.r.shape[0]
-
 
 @dataclass(frozen=True)
 class WeightMatrix:

@@ -93,22 +93,22 @@ class TestOpAdjoints:
             ad.mul(x, RNG.normal(size=(2, 1, 3)))
 
     def test_gate(self):
-        h = RNG.normal(size=(2, 5, 3))
+        h = RNG.normal(size=(2, 3, 5))
         g = RNG.uniform(0.1, 0.9, size=(2, 3))
         assert grad_check(lambda ht, gt: ad.mean(ad.square(ad.gate(ht, gt))), [h, g],
                           eps=EPS) < TOL
 
     def test_gate_is_h_plus_h_times_gate(self):
-        h = RNG.normal(size=(3, 7, 4))
+        h = RNG.normal(size=(3, 4, 7))
         g = RNG.uniform(0.0, 1.0, size=(3, 4))
-        np.testing.assert_allclose(ad.gate(Tensor(h), Tensor(g)).data, h + h * g[:, None, :],
+        np.testing.assert_allclose(ad.gate(Tensor(h), Tensor(g)).data, h + h * g[:, :, None],
                                    rtol=1e-14)
 
     def test_gate_rejects_bad_shapes(self):
         with pytest.raises(AutodiffError):
-            ad.gate(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 1, 3))))
+            ad.gate(Tensor(np.zeros((2, 3, 5))), Tensor(np.zeros((2, 3, 1))))
         with pytest.raises(AutodiffError):
-            ad.gate(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((3, 3))))
+            ad.gate(Tensor(np.zeros((2, 3, 5))), Tensor(np.zeros((3, 3))))
 
     def test_concat(self):
         parts = [RNG.normal(size=(rows, 3, 2)) for rows in (2, 1, 4)]
@@ -138,7 +138,7 @@ class TestOpAdjoints:
     ])
     def test_conv1d(self, stride, groups, length, k):
         c_in, c_out = 4, 8
-        x = RNG.normal(size=(2, length, c_in))
+        x = RNG.normal(size=(2, c_in, length))
         w = RNG.normal(size=(k, c_in // groups, c_out))
         b = RNG.normal(size=(c_out,))
 
@@ -147,44 +147,56 @@ class TestOpAdjoints:
 
         assert grad_check(f, [x, w, b], eps=EPS) < TOL
         out_len = -(-length // stride)
-        upstream = RNG.normal(size=(2, out_len, c_out))
-        dx = _op_and_grads(lambda xt, wt: ad.conv1d(xt, wt, stride=stride, groups=groups),
-                           [x, w], upstream)[1]
-        wd = ad._expand_grouped(w, c_in, c_out, groups)
-        np.testing.assert_allclose(dx, _scatter_input_grad(upstream, wd, stride, length),
-                                   rtol=0, atol=1e-12)
+        upstream = RNG.normal(size=(2, c_out, out_len))
+        got = _op_and_grads(lambda xt, wt, bt: ad.conv1d(xt, wt, bt, stride=stride, groups=groups),
+                            [x, w, b], upstream)
+        expected = _conv1d_by_loops(x, w, b, stride, groups, upstream)
+        for name, a, e in zip(("out", "dx", "dw", "db"), got, expected):
+            np.testing.assert_allclose(a, e, rtol=0, atol=1e-12, err_msg=name)
 
     def test_conv1d_output_length(self):
-        x = Tensor(RNG.normal(size=(1, 11, 2)))
+        x = Tensor(RNG.normal(size=(1, 2, 11)))
         w = Tensor(RNG.normal(size=(4, 2, 3)))
-        assert ad.conv1d(x, w, stride=2).data.shape == (1, 6, 3)
-        assert ad.conv1d(x, w, stride=1).data.shape == (1, 11, 3)
+        assert ad.conv1d(x, w, stride=2).data.shape == (1, 3, 6)
+        assert ad.conv1d(x, w, stride=1).data.shape == (1, 3, 11)
 
     def test_conv1d_depthwise_identity(self):
         # groups == channels with 1-tap identity kernels is the identity map
-        x = RNG.normal(size=(2, 9, 3))
+        x = RNG.normal(size=(2, 3, 9))
         w = np.ones((1, 1, 3))
         out = ad.conv1d(Tensor(x), Tensor(w), stride=1, groups=3)
         np.testing.assert_allclose(out.data, x)
 
     def test_conv1d_rejects_bad_groups(self):
-        x = Tensor(np.zeros((1, 8, 3)))
+        x = Tensor(np.zeros((1, 3, 8)))
         w = Tensor(np.zeros((3, 1, 4)))
         with pytest.raises(AutodiffError):
             ad.conv1d(x, w, groups=2)
 
 
-def _scatter_input_grad(g, wd, stride, length):
-    """conv1d's input VJP by strided scatter-adds: output row ``j``'s gradient
-    times tap ``k`` of the dense (K, C_in, C_out) weight lands on padded input
-    row ``j * stride + k``."""
-    batch, out_len, _ = g.shape
-    kernel, c_in, _ = wd.shape
+def _conv1d_by_loops(x, w, b, stride, groups, g):
+    """conv1d's output and its x, w and b gradients under the loss
+    sum(out * g), in float64 loops over samples, groups and taps: tap ``k``
+    of output step ``j`` reads padded input step ``j * stride + k``."""
+    batch, c_in, length = x.shape
+    kernel, cg, c_out = w.shape
+    og = c_out // groups
+    out_len = -(-length // stride)
     pad_total = max((out_len - 1) * stride + kernel - length, 0)
-    row = np.zeros((batch, length + pad_total, c_in))
-    for k in range(kernel):
-        row[:, k : k + (out_len - 1) * stride + 1 : stride] += g @ wd[k].T
-    return row[:, pad_total // 2 : pad_total // 2 + length]
+    xp = np.zeros((batch, c_in, length + pad_total))
+    xp[:, :, pad_total // 2 : pad_total // 2 + length] = x
+    out = np.zeros((batch, c_out, out_len))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(batch):
+        for gi in range(groups):
+            ins, outs = slice(gi * cg, (gi + 1) * cg), slice(gi * og, (gi + 1) * og)
+            for k in range(kernel):
+                taps = slice(k, k + (out_len - 1) * stride + 1, stride)
+                out[i, outs] += w[k, :, outs].T @ xp[i, ins, taps]
+                dxp[i, ins, taps] += w[k, :, outs] @ g[i, outs]
+                dw[k, :, outs] += xp[i, ins, taps] @ g[i, outs].T
+    return (out + b[:, None], dxp[:, :, pad_total // 2 : pad_total // 2 + length], dw,
+            g.sum(axis=(0, 2)))
 
 
 def _f32(*shape, low=None):
@@ -241,7 +253,7 @@ class TestFloat32Storage:
         self._run(ad.log, _f32(3, 4, low=0.5))
 
     def test_gate(self):
-        self._run(ad.gate, _f32(2, 5, 3), _f32(2, 3))
+        self._run(ad.gate, _f32(2, 3, 5), _f32(2, 3))
 
     def test_matmul_and_dense(self):
         self._run(ad.matmul, _f32(3, 4), _f32(4, 2))
@@ -250,7 +262,7 @@ class TestFloat32Storage:
     @pytest.mark.parametrize("kernel,stride,groups", [(1, 1, 1), (5, 1, 2), (4, 2, 1)])
     def test_conv1d(self, kernel, stride, groups):
         op = lambda x, w, b: ad.conv1d(x, w, b, stride=stride, groups=groups)  # noqa: E731
-        self._run(op, _f32(2, 9, 4), _f32(kernel, 4 // groups, 6), _f32(6))
+        self._run(op, _f32(2, 4, 9), _f32(kernel, 4 // groups, 6), _f32(6))
 
 
 class TestBackwardSemantics:
@@ -379,7 +391,7 @@ class TestBackwardSemantics:
 
     def test_forward_determinism(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 32, 4))
+        x = rng.normal(size=(2, 4, 32))
         w = rng.normal(size=(7, 4, 8))
         a = ad.conv1d(Tensor(x), Tensor(w), stride=2).data
         b = ad.conv1d(Tensor(x), Tensor(w), stride=2).data
@@ -439,11 +451,11 @@ class TestWorkerCount:
     whatever the number of slices."""
 
     CONVS = {  # name: (x shape, w shape, stride, groups)
-        "pointwise": ((5, 37, 6), (1, 6, 4), 1, 1),
-        "grouped": ((5, 37, 8), (16, 2, 8), 1, 4),
-        "strided-stem": ((5, 41, 1), (16, 1, 4), 2, 1),
-        "pointwise-strided": ((5, 10, 6), (1, 6, 4), 2, 1),
-        "pointwise-wide": ((5, 1000, 6), (1, 6, 4), 1, 1),  # output over one _BLOCK
+        "pointwise": ((5, 6, 37), (1, 6, 4), 1, 1),
+        "grouped": ((5, 8, 37), (16, 2, 8), 1, 4),
+        "strided-stem": ((5, 1, 41), (16, 1, 4), 2, 1),
+        "pointwise-strided": ((5, 6, 10), (1, 6, 4), 2, 1),
+        "pointwise-wide": ((5, 6, 1000), (1, 6, 4), 1, 1),  # output over one _BLOCK
     }
 
     @staticmethod
@@ -466,8 +478,8 @@ class TestWorkerCount:
         arrays = [rng.normal(size=x_shape).astype(dtype), rng.normal(size=w_shape).astype(dtype)]
         if bias:
             arrays.append(rng.normal(size=w_shape[-1:]).astype(dtype))
-        out_len = -(-x_shape[1] // stride)
-        upstream = rng.normal(size=(x_shape[0], out_len, w_shape[-1])).astype(dtype)
+        out_len = -(-x_shape[2] // stride)
+        upstream = rng.normal(size=(x_shape[0], w_shape[-1], out_len)).astype(dtype)
 
         def op(*t):
             return ad.conv1d(*t, stride=stride, groups=groups)
@@ -499,8 +511,9 @@ class TestWorkerCount:
         upstream = rng.normal(size=shape).astype(dtype)
         self._across_workers(monkeypatch, ad.swish, [x], upstream)
 
-    # many blocks; under one block; one channel, where numpy's inner loop runs over time
-    SHAPES = [(5, 3001, 3), (5, 7, 2), (3, 9000, 1)]
+    # (B, C, L): many blocks; under one block; one channel over more steps than
+    # numpy's 8,192-element cast buffer
+    SHAPES = [(5, 3, 3001), (5, 2, 7), (3, 1, 9000)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", SHAPES)
@@ -517,27 +530,27 @@ class TestWorkerCount:
     def test_time_reduction(self, monkeypatch, op, shape, dtype):
         rng = np.random.default_rng(12)
         x = (rng.normal(size=shape) * 100).astype(dtype)
-        upstream = rng.normal(size=(shape[0], shape[2])).astype(dtype)
-        self._across_workers(monkeypatch, lambda t: op(t, axis=1), [x], upstream)
+        upstream = rng.normal(size=shape[:2]).astype(dtype)
+        self._across_workers(monkeypatch, lambda t: op(t, axis=2), [x], upstream)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_float32_time_mean_accumulates_in_float64(self, monkeypatch, shape):
         rng = np.random.default_rng(13)
         x = (1e4 + rng.normal(size=shape)).astype(np.float32)  # float32 running sums drift
-        expected = np.mean(x, axis=1, dtype=np.float64).astype(np.float32)
+        expected = np.mean(x, axis=2, dtype=np.float64).astype(np.float32)
         for workers in (1, 2, 3):
             monkeypatch.setattr(ad, "_WORKERS", workers)
-            got = ad.mean(Tensor(x), axis=1).data
+            got = ad.mean(Tensor(x), axis=2).data
             assert got.dtype == np.float32 and np.array_equal(got, expected)
-        if shape == self.SHAPES[0]:  # running float32 sums over time give other bits
-            assert not np.array_equal(expected, np.mean(x, axis=1))
+        if shape == self.SHAPES[1]:  # float32 sums over time give other bits
+            assert not np.array_equal(expected, np.mean(x, axis=2))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_gate(self, monkeypatch, shape, dtype):
         rng = np.random.default_rng(14)
         arrays = [rng.normal(size=shape).astype(dtype),
-                  rng.uniform(size=(shape[0], shape[2])).astype(dtype)]
+                  rng.uniform(size=shape[:2]).astype(dtype)]
         upstream = rng.normal(size=shape).astype(dtype)
         self._across_workers(monkeypatch, ad.gate, arrays, upstream)
 
@@ -557,35 +570,35 @@ class TestWorkerCount:
         call it replaces."""
         monkeypatch.setattr(ad, "_WORKERS", 3)
         rng = np.random.default_rng(16)
-        h, other, g = (rng.normal(size=(5, 3001, 3)).astype(dtype) for _ in range(3))
+        h, other, g = (rng.normal(size=(5, 3, 3001)).astype(dtype) for _ in range(3))
         gate = rng.uniform(size=(5, 3)).astype(dtype)
         wide = {"dtype": np.float64} if dtype == np.float32 else {}
-        scale = (1.0 + gate)[:, None, :]
+        scale = (1.0 + gate)[:, :, None]
         leaves = [ad.parameter(h.copy()), ad.parameter(gate.copy())]
         with Tape() as tape:
             loss = ad.sum_(ad.mul(ad.gate(*leaves), g))
         tape.backward(loss)
         upstream = rng.normal(size=(5, 3)).astype(dtype)
-        dmean = _op_and_grads(lambda t: ad.mean(t, axis=1), [h], upstream)[1]
+        dmean = _op_and_grads(lambda t: ad.mean(t, axis=2), [h], upstream)[1]
         w, b = rng.normal(size=(1, 3, 4)).astype(dtype), rng.normal(size=4).astype(dtype)
-        g4 = rng.normal(size=(5, 3001, 4)).astype(dtype)
+        g4 = rng.normal(size=(5, 4, 3001)).astype(dtype)
         _, _, dw, db = _op_and_grads(ad.conv1d, [h, w, b], g4)
-        dw_by_sample, db_by_sample = np.zeros((3, 4), dtype), np.zeros(4)
+        dw_by_sample, db_by_sample = np.zeros((4, 3), dtype), np.zeros(4)
         for i in range(5):  # per-sample products and float64 sums, in sample order
-            dw_by_sample += h[i].T @ g4[i]
-            db_by_sample += ad._channel_sum(g4[i])
+            dw_by_sample += g4[i] @ h[i].T
+            db_by_sample += g4[i].sum(axis=1, dtype=np.float64)
         acc = h.copy()
         pairs = [
             (ad.add(h, other).data, h + other),
             (ad.mul(h, other).data, h * other),
             (ad._multiply(g, other), g * other),
-            (ad.sum_(h, axis=1).data, np.sum(h, axis=1, **wide).astype(dtype)),
+            (ad.sum_(h, axis=2).data, np.sum(h, axis=2, **wide).astype(dtype)),
             (ad.gate(h, gate).data, h * scale),
             (leaves[0].grad, g * scale),
-            (leaves[1].grad, np.einsum("blc,blc->bc", g, h)),
+            (leaves[1].grad, np.einsum("bcl,bcl->bc", g, h)),
             (ad._ufunc(np.add, acc, g, out=acc), h + g),  # the tape's in-place sum
-            (dmean, np.broadcast_to((upstream / 3001)[:, None, :], h.shape).copy()),
-            (dw, dw_by_sample.reshape(w.shape)),
+            (dmean, np.broadcast_to((upstream / 3001)[:, :, None], h.shape).copy()),
+            (dw, dw_by_sample.T.reshape(w.shape)),
             (db, db_by_sample.astype(dtype)),
         ]
         for got, expected in pairs:
@@ -613,31 +626,43 @@ class TestWorkerCount:
         assert in_pool == [(outer_threads[0], 0, 2), (outer_threads[0], 2, 4)]
         assert sorted((a, b) for lo, _, a, b in inner if lo == 1) == [(0, 2), (2, 4)]
 
+    @staticmethod
+    def _bias_grad(g):
+        """conv1d's bias gradient for the upstream gradient ``g`` (B, C, L)
+        of a 1x1 convolution from one input channel."""
+        batch, channels, length = g.shape
+        arrays = [np.ones((batch, 1, length), g.dtype), np.ones((1, 1, channels), g.dtype),
+                  np.zeros(channels, g.dtype)]
+        return _op_and_grads(ad.conv1d, arrays, g, watched=[False, False, True])[1]
+
     @pytest.mark.parametrize("rows", [1, 31, 32, 33, 40_000])
     def test_bias_grad_is_the_float64_channel_sum(self, rows):
-        g = np.random.default_rng(rows).normal(size=(rows, 16)).astype(np.float32)
-        expected = g.sum(axis=0, dtype=np.float64).astype(np.float32)
-        assert np.array_equal(ad._channel_sum(g).astype(np.float32), expected)
+        """Each sample's channel rows sum in float64, and the samples add in
+        order; the result rounds once to float32."""
+        g = np.random.default_rng(rows).normal(size=(2, 16, rows)).astype(np.float32)
+        expected = (g[0].sum(axis=1, dtype=np.float64) + g[1].sum(axis=1, dtype=np.float64))
+        assert np.array_equal(self._bias_grad(g), expected.astype(np.float32))
 
-    @pytest.mark.parametrize("channels", [1, 8, 48, 600])  # 48: 10 groups of 480; 600: one group
+    @pytest.mark.parametrize("channels", [1, 8, 48, 600])
     @pytest.mark.parametrize("rows", [1, 33, 5001])
     def test_bias_grad_float64_is_near_the_exact_sum(self, rows, channels):
-        g = np.random.default_rng(rows * channels).normal(size=(rows, channels))
-        exact = np.array([math.fsum(column) for column in g.T])
-        got = ad._channel_sum(g)
+        g = np.random.default_rng(rows * channels).normal(size=(1, channels, rows))
+        exact = np.array([math.fsum(row) for row in g[0]])
+        got = self._bias_grad(g)
         assert got.dtype == np.float64 and got.shape == (channels,)
-        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14 * np.abs(g).sum(axis=0).max())
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14 * np.abs(g).sum(axis=2).max())
 
     @staticmethod
-    def _weight_vjp_peak(batch: int, kernel: int, channels: int) -> int:
+    def _weight_vjp_peak(batch: int, kernel: int, channels: int, groups: int = 1,
+                         length: int = 8) -> int:
         """Peak bytes traced while the weight VJP of a conv of ``kernel``
-        taps and ``channels`` channels in and out runs on a batch of 8-row
-        float64 samples."""
+        taps, ``channels`` channels in and out and ``groups`` groups runs on
+        a batch of float64 samples of ``length`` steps."""
         rng = np.random.default_rng(batch)
-        x = Tensor(rng.normal(size=(batch, 8, channels)))
-        w = ad.parameter(rng.normal(size=(kernel, channels, channels)))
+        x = Tensor(rng.normal(size=(batch, channels, length)))
+        w = ad.parameter(rng.normal(size=(kernel, channels // groups, channels)))
         with Tape() as tape:
-            loss = ad.sum_(ad.conv1d(x, w))
+            loss = ad.sum_(ad.conv1d(x, w, groups=groups))
         tracemalloc.start()
         try:
             tape.backward(loss)
@@ -661,12 +686,24 @@ class TestWorkerCount:
             # 4 products, weights, scratch, g
             assert self._weight_vjp_peak(64, kernel, channels) < 8 * product
 
+    def test_grouped_weight_products_are_the_weights_size(self, monkeypatch):
+        """A grouped conv's per-sample weight product holds the grouped
+        weight's K * (C_in/groups) * C_out entries, not a dense kernel's
+        ``groups`` times as many."""
+        kernel, channels, groups = 16, 64, 4
+        product = kernel * (channels // groups) * channels * 8
+        monkeypatch.setattr(ad, "_PRODUCTS_BYTES", 64 * product)  # one round of every sample
+        grown = (self._weight_vjp_peak(64, kernel, channels, groups, length=2)
+                 - self._weight_vjp_peak(4, kernel, channels, groups, length=2))
+        # 60 more products, and the 2-step samples' own arrays (1 KiB each)
+        assert 60 * product <= grown < 61 * product
+
     def test_concurrent_callers_share_the_pool(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 3)  # more slices than this host may have cores
         rng = np.random.default_rng(10)
-        arrays = [rng.normal(size=(7, 300, 8)).astype(np.float32),
+        arrays = [rng.normal(size=(7, 8, 300)).astype(np.float32),
                   rng.normal(size=(16, 2, 8)).astype(np.float32)]
-        upstream = rng.normal(size=(7, 300, 8)).astype(np.float32)
+        upstream = rng.normal(size=(7, 8, 300)).astype(np.float32)
 
         def op(x, w):
             return ad.swish(ad.conv1d(x, w, groups=4))
@@ -734,7 +771,7 @@ class TestWorkerCount:
     def test_forked_child_builds_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(ad, "_WORKERS", 2)
         rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(6, 40, 4)).astype(np.float32))
+        x = Tensor(rng.normal(size=(6, 4, 40)).astype(np.float32))
         w = Tensor(rng.normal(size=(16, 4, 4)).astype(np.float32))
         expected = ad.conv1d(x, w).data  # the parent's pool now exists
         pid = os.fork()
@@ -805,7 +842,7 @@ def _captured(fn):
 
 
 def _channels_read_by_vjps(config) -> int:
-    """Channels of the full-size (B, L, C) arrays that the VJPs of an
+    """Channels of the full-size (B, C, L) arrays that the VJPs of an
     encoder forward read: each swish keeps s and y; a block after the first
     of its stage reads its input (the last block's sum) in conv1; a gated
     stage's gate keeps its input, and its output is the next stage's conv
@@ -847,10 +884,11 @@ class TestHeldArrays:
         _, enc, x = self._tiny(4, 1000)
         convs, means = {}, []
         conv1d, mean = ad.conv1d, ad.mean
+        names = {id(p): name for name, p in enc.params.items()}
 
         def spy_conv1d(x, w, *args, **kwargs):
             out = conv1d(x, w, *args, **kwargs)
-            convs[w.name] = weakref.ref(out.data)
+            convs[names[id(w)]] = weakref.ref(out.data)
             return out
 
         def spy_mean(a, axis=None):

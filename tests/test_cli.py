@@ -567,6 +567,34 @@ class TestBlasThreads:
         assert json.loads(proc.stdout) == expected
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS runs at most one thread per CPU")
+def test_resume_at_another_blas_thread_count_exit_2(tmp_path):
+    """A run records the thread count BLAS reports, and a resume under
+    another count is refused, naming it."""
+    pre, _ = generate_synthetic(SyntheticConfig(n_subjects=12, n_downstream=0, duration=4.0,
+                                                seed=3))
+    save(pre, tmp_path / "pre.rds")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; from riskclr.cli import main; main(sys.argv[1:])"
+
+    def pretrain(threads, *extra):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **dict.fromkeys(TestBlasThreads.VARS, str(threads))}
+        return subprocess.run(
+            [sys.executable, "-c", code, "pretrain", "--data", str(tmp_path / "pre.rds"),
+             "--run-dir", str(tmp_path / "run"), "--epochs", "2", "--batch-size", "8", *extra],
+            env=env, capture_output=True, text=True, timeout=600)
+
+    proc = pretrain(1)
+    assert proc.returncode == 0, proc.stderr
+    host = json.loads((tmp_path / "run" / "config.json").read_text())["host"]
+    assert host["blas_thread_count"] == 1
+    proc = pretrain(2, "--resume", str(tmp_path / "run" / "last.ckpt"))
+    assert proc.returncode == 2, proc.stderr
+    assert "trained with blas_thread_count=1, this run has blas_thread_count=2" in proc.stderr
+
+
 # Runs `riskclr pretrain` with argv[4:]. It SIGKILLs its own process right
 # "after" or "before" (argv[2]) its Nth os.replace (argv[1]; 0: never), and
 # with argv[3] == "one" first pins itself to one CPU, before riskclr.autodiff

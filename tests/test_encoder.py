@@ -154,12 +154,12 @@ class TestChunks:
 
 
 def _over_time(gate, length):
-    """The (B, C) ``gate`` repeated over ``length`` time steps as (B, length,
-    C): a product with a 0/1 matrix, since the elementwise ops do not
+    """The (B, C) ``gate`` repeated over ``length`` time steps as (B, C,
+    length): a product with a row of ones, since the elementwise ops do not
     broadcast."""
     batch, c = gate.data.shape
-    repeat = np.kron(np.eye(batch), np.ones((length, 1)))  # (B * length, B)
-    return ad.reshape(ad.matmul(repeat, gate), (batch, length, c))
+    return ad.reshape(ad.matmul(ad.reshape(gate, (batch * c, 1)), np.ones((1, length))),
+                      (batch, c, length))
 
 
 def _composed_forward(enc, signals):
@@ -168,7 +168,7 @@ def _composed_forward(enc, signals):
     of the last stage."""
     p, cfg = enc.params, enc.config
     x = Tensor(signals)
-    h = ad.reshape(x, (x.data.shape[0], x.data.shape[1], 1))
+    h = ad.reshape(x, (x.data.shape[0], 1, x.data.shape[1]))
     h = ad.swish(ad.conv1d(h, p["stem.w"], p["stem.b"], stride=encoder_mod.STEM_STRIDE))
     in_ch = cfg.hidden_dim
     for si, (ch, blocks) in enumerate(cfg.stages):
@@ -183,10 +183,10 @@ def _composed_forward(enc, signals):
             h = ad.add(y, h)
             in_ch = ch
         g = f"stage{si}.gate"
-        gate = ad.swish(ad.dense(ad.mean(h, axis=1), p[f"{g}.fc1.w"], p[f"{g}.fc1.b"]))
+        gate = ad.swish(ad.dense(ad.mean(h, axis=2), p[f"{g}.fc1.w"], p[f"{g}.fc1.b"]))
         gate = ad.sigmoid(ad.dense(gate, p[f"{g}.fc2.w"], p[f"{g}.fc2.b"]))
-        h = ad.add(h, ad.mul(h, _over_time(gate, h.data.shape[1])))
-    return ad.mean(h, axis=1)
+        h = ad.add(h, ad.mul(h, _over_time(gate, h.data.shape[2])))
+    return ad.mean(h, axis=2)
 
 
 class TestComposedReference:

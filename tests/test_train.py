@@ -189,6 +189,27 @@ class TestPretrainLoop:
         pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
                  resume_from=tmp_path / "moved.ckpt")
 
+    def test_resume_refuses_another_blas_thread_count(self, tiny_world, tmp_path):
+        from riskclr.encoder import save_checkpoint
+        from riskclr.train import ResumeError, blas_thread_count
+
+        prep, _ = tiny_world
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                 run_dir=tmp_path, session_epochs=1)
+        enc, extra, meta = load_checkpoint(tmp_path / "last.ckpt")
+        now = blas_thread_count()
+        for recorded in (7, None) if now is not None else (7,):
+            meta["host"]["blas_thread_count"] = recorded
+            save_checkpoint(tmp_path / "other.ckpt", enc, extra=extra, meta=meta)
+            with pytest.raises(ResumeError, match=f"blas_thread_count={recorded!r}, "
+                                                  f"this run has blas_thread_count={now!r}"):
+                pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                         resume_from=tmp_path / "other.ckpt")
+        del meta["host"]["blas_thread_count"]  # written before the count was recorded
+        save_checkpoint(tmp_path / "older.ckpt", enc, extra=extra, meta=meta)
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                 resume_from=tmp_path / "older.ckpt")
+
     def test_resume_refuses_a_checkpoint_without_config(self, tiny_world, tmp_path):
         from riskclr.train import ResumeError
 

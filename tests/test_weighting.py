@@ -131,7 +131,7 @@ class TestWeightMatrix:
             D = dissimilarity_matrix(info.r, alpha, info.positive_of)
             M = missingness_matrix(info.m)
             W = weight_matrix(D, M, alpha).W
-            n = info.n_views
+            n = len(info.r)
             pos_mask = np.zeros((n, n), dtype=bool)
             pos_mask[np.arange(n), info.positive_of] = True
             off = ~np.eye(n, dtype=bool) & ~pos_mask
