@@ -44,10 +44,25 @@ by a sub-batch runs the ops on chunks of rows and joins them with
 ``Encoder.forward``). Ops allocate in the calling thread: running the chunks
 themselves in pool threads would spread their buffers over per-thread
 malloc arenas, which raises peak RSS.
+
+Heap policy: importing this module sets glibc's malloc thresholds once
+(``_keep_freed_heap``). ``M_TRIM_THRESHOLD`` goes to 1 GiB, so the
+activations a backward pass frees stay in the process for the next batch
+instead of going back to the OS and being page-faulted in again, as
+PyTorch's caching allocator keeps freed blocks (Paszke et al.).
+``M_MMAP_THRESHOLD`` goes to 32 MiB, the ceiling of glibc's own dynamic
+threshold. Both are set because setting either one turns off glibc's
+dynamic adjustment of both: with the trim threshold alone, every array
+over 128 KiB went back to its own ``mmap`` and was faulted in anew each
+time. The two values override the ``MALLOC_TRIM_THRESHOLD_`` and
+``MALLOC_MMAP_THRESHOLD_`` environment variables. A libc without
+``mallopt`` (musl, macOS, Windows) keeps its own policy. No numeric code
+depends on it, so the bits are the same either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import threading
@@ -209,6 +224,27 @@ def _make_out(data: Array, inputs: Sequence[Tensor], vjp: VJP) -> Tensor:
         out._node = _Node()
         tapes[-1]._nodes.append((out._node, vjp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the process's heap
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_freed_heap() -> None:
+    """Set glibc's trim threshold to 1 GiB and its mmap threshold to 32 MiB
+    (see the module docstring); a libc without ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows has no CDLL(None)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+_keep_freed_heap()
 
 
 # ---------------------------------------------------------------------------

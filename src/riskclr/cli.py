@@ -220,7 +220,7 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
     from riskclr.data import Dataset
     from riskclr.encoder import build
     from riskclr.train import (NanLossError, PreparedPretrain, PretrainConfig, ResumeError,
-                               host_conditions, pretrain)
+                               check_resume, host_conditions, pretrain)
 
     section = _load_config_file(config_path, "pretrain").get("pretrain", {})
     cfg = _dataclass_from(section, PretrainConfig,
@@ -230,12 +230,15 @@ def pretrain_cmd(config_path, data_path, run_dir, encoder_name, epochs, batch_si
         raise CliError(f"checkpoint not found: {resume_path}", EXIT_MISSING_INPUT)
     ds = _load_dataset(data_path, Dataset)
     run = Path(run_dir)
-    _echo_config(run, {"pretrain": dataclasses.asdict(cfg), "encoder": dataclasses.asdict(enc_cfg),
-                       "dataset_hash": ds.content_hash(), "host": host_conditions()})
     prep = PreparedPretrain.from_dataset(ds, seed=cfg.seed,
                                          deterministic_impute=cfg.deterministic_impute)
     encoder = build(enc_cfg, seed=cfg.seed, dtype=np.dtype(cfg.dtype))
     try:
+        if resume_path is not None:  # a refused resume leaves the run's config.json as it was
+            check_resume(resume_path, encoder, cfg)
+        _echo_config(run, {"pretrain": dataclasses.asdict(cfg),
+                           "encoder": dataclasses.asdict(enc_cfg),
+                           "dataset_hash": ds.content_hash(), "host": host_conditions()})
         result = pretrain(prep, encoder, cfg, run_dir=run, resume_from=resume_path)
     except NanLossError as exc:
         raise CliError(str(exc), EXIT_NAN)

@@ -47,7 +47,8 @@ class ResumeError(ValueError):
 
 class Adam:
     """Adam (betas 0.9 and 0.999, eps 1e-8) with either decoupled (AdamW) or
-    L2-coupled weight decay."""
+    L2-coupled weight decay. ``step`` refuses a parameter without a gradient
+    (ValueError naming it) before it changes anything."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -62,14 +63,15 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float | None = None) -> None:
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise ValueError(f"parameter {name!r} has no gradient to step on")
         lr = self.lr if lr is None else lr
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
             if self.weight_decay and not self.decoupled:
                 g = g + self.weight_decay * p.data
             m = self.m[name]
@@ -302,6 +304,40 @@ def host_conditions() -> dict:
             "numpy": np.__version__, "cpus": ad._WORKERS}
 
 
+def _stored_config(cfg: PretrainConfig) -> dict:
+    """``cfg`` as a checkpoint's meta stores it."""
+    return json.loads(json.dumps(asdict(cfg), default=lambda v: v.item()))
+
+
+def check_resume(path: str | os.PathLike, encoder: Encoder, cfg: PretrainConfig):
+    """Load the checkpoint at ``path`` (``load_checkpoint``'s triple) for
+    ``pretrain`` to resume under ``cfg`` into ``encoder``, or raise
+    ``ResumeError`` naming the first thing that differs: a ``cfg`` field, a
+    field this version lacks, the encoder config or dtype, or the
+    ``blas_thread_count`` or ``blas`` build in the meta's ``host`` (the bits
+    depend on both; a checkpoint that predates a field passes it)."""
+    enc2, extra, meta = load_checkpoint(path)
+    config, host = _stored_config(cfg), host_conditions()
+    saved = meta.get("config")
+    if saved is None:
+        raise ResumeError("resume checkpoint records no pretraining config to check against")
+    for name in dict.fromkeys([*config, *saved]):
+        if name not in config:
+            raise ResumeError(f"resume checkpoint was trained with {name}={saved[name]!r}, "
+                              f"a field this version does not have")
+        if saved.get(name) != config[name]:
+            raise ResumeError(f"resume checkpoint was trained with {name}={saved.get(name)!r}, "
+                              f"this run has {name}={config[name]!r}")
+    if enc2.config != encoder.config or enc2.dtype != encoder.dtype:
+        raise ResumeError("resume checkpoint was built for a different encoder config or dtype")
+    for name in ("blas_thread_count", "blas"):
+        was = meta.get("host", {}).get(name, host[name])
+        if was != host[name]:
+            raise ResumeError(f"resume checkpoint was trained with {name}={was!r}, "
+                              f"this run has {name}={host[name]!r}")
+    return enc2, extra, meta
+
+
 def pretrain(
     prep: PreparedPretrain,
     encoder: Encoder,
@@ -326,9 +362,10 @@ def pretrain(
     ``PretrainResult.history`` holds only this call's epochs. It also carries
     ``cfg``, and resuming under another ``cfg`` or encoder, or from a config
     with a field this version lacks, raises ``ResumeError`` naming the first
-    field that differs. Its meta also records ``host_conditions()`` under
-    ``host``, outside ``config``; of those, only another ``blas_thread_count``
-    refuses a resume (``ResumeError``), since the bits depend on it.
+    field that differs (``check_resume``). Its meta also records
+    ``host_conditions()`` under ``host``, outside ``config``; of those, only
+    another ``blas_thread_count`` or ``blas`` build refuses a resume
+    (``ResumeError``), since the bits depend on them.
     """
     if bank is None:
         bank = NoiseBank.synthetic(seed=cfg.seed)
@@ -348,27 +385,11 @@ def pretrain(
     bad_epochs = 0
     history: list[dict] = []
     earlier: list[dict] = []  # epochs of the sessions this one resumes
-    config = json.loads(json.dumps(asdict(cfg), default=lambda v: v.item()))  # as meta stores it
+    config = _stored_config(cfg)
     host = host_conditions()
 
     if resume_from is not None:
-        enc2, extra, meta = load_checkpoint(resume_from)
-        saved = meta.get("config")
-        if saved is None:
-            raise ResumeError("resume checkpoint records no pretraining config to check against")
-        for name in dict.fromkeys([*config, *saved]):
-            if name not in config:
-                raise ResumeError(f"resume checkpoint was trained with {name}={saved[name]!r}, "
-                                  f"a field this version does not have")
-            if saved.get(name) != config[name]:
-                raise ResumeError(f"resume checkpoint was trained with {name}={saved.get(name)!r}, "
-                                  f"this run has {name}={config[name]!r}")
-        if enc2.config != encoder.config or enc2.dtype != encoder.dtype:
-            raise ResumeError("resume checkpoint was built for a different encoder config or dtype")
-        threads = meta.get("host", {}).get("blas_thread_count", host["blas_thread_count"])
-        if threads != host["blas_thread_count"]:  # a checkpoint that predates the field passes
-            raise ResumeError(f"resume checkpoint was trained with blas_thread_count={threads!r}, "
-                              f"this run has blas_thread_count={host['blas_thread_count']!r}")
+        enc2, extra, meta = check_resume(resume_from, encoder, cfg)
         encoder.load_state_arrays(enc2.state_arrays())
         optimizer.load_state_arrays({k[len("opt/") :]: v for k, v in extra.items()
                                      if k.startswith("opt/")})

@@ -595,6 +595,33 @@ def test_resume_at_another_blas_thread_count_exit_2(tmp_path):
     assert "trained with blas_thread_count=1, this run has blas_thread_count=2" in proc.stderr
 
 
+def test_refused_resume_leaves_config_json(tmp_path):
+    """A resume refused for another config exits 2 before it writes: the
+    run's config.json stays the one its checkpoint was trained under."""
+    pre, _ = generate_synthetic(SyntheticConfig(n_subjects=12, n_downstream=0, duration=4.0,
+                                                seed=3))
+    save(pre, tmp_path / "pre.rds")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; from riskclr.cli import main; main(sys.argv[1:])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           **dict.fromkeys(TestBlasThreads.VARS, "1")}
+    run = tmp_path / "run"
+
+    def pretrain(epochs, *extra):
+        return subprocess.run(
+            [sys.executable, "-c", code, "pretrain", "--data", str(tmp_path / "pre.rds"),
+             "--run-dir", str(run), "--epochs", epochs, "--batch-size", "8", *extra],
+            env=env, capture_output=True, text=True, timeout=600)
+
+    proc = pretrain("2")
+    assert proc.returncode == 0, proc.stderr
+    before = (run / "config.json").read_bytes()
+    proc = pretrain("3", "--resume", str(run / "last.ckpt"))
+    assert proc.returncode == 2, proc.stderr
+    assert "trained with epochs=2, this run has epochs=3" in proc.stderr
+    assert (run / "config.json").read_bytes() == before
+
+
 # Runs `riskclr pretrain` with argv[4:]. It SIGKILLs its own process right
 # "after" or "before" (argv[2]) its Nth os.replace (argv[1]; 0: never), and
 # with argv[3] == "one" first pins itself to one CPU, before riskclr.autodiff

@@ -81,6 +81,14 @@ class TestAdam:
         opt2.step()
         np.testing.assert_array_equal(p.data, p2.data)
 
+    def test_parameter_without_gradient_is_refused(self):
+        p, q = ad.parameter(np.ones(3)), ad.parameter(np.ones(2))
+        p.grad = np.ones(3)
+        opt = Adam({"p": p, "q": q}, lr=0.1)
+        with pytest.raises(ValueError, match="parameter 'q' has no gradient"):
+            opt.step()
+        assert opt.step_count == 0 and np.array_equal(p.data, np.ones(3))
+
 
 class TestSchedule:
     def test_cosine_anneal_endpoints(self):
@@ -206,6 +214,28 @@ class TestPretrainLoop:
                 pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
                          resume_from=tmp_path / "other.ckpt")
         del meta["host"]["blas_thread_count"]  # written before the count was recorded
+        save_checkpoint(tmp_path / "older.ckpt", enc, extra=extra, meta=meta)
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                 resume_from=tmp_path / "older.ckpt")
+
+    def test_resume_refuses_another_blas_build(self, tiny_world, tmp_path):
+        from riskclr.encoder import save_checkpoint
+        from riskclr.train import ResumeError, host_conditions
+
+        prep, _ = tiny_world
+        pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                 run_dir=tmp_path, session_epochs=1)
+        enc, extra, meta = load_checkpoint(tmp_path / "last.ckpt")
+        now = host_conditions()["blas"]
+        for recorded in ({**now, "name": "mkl"}, {**now, "version": "0.0.1"}):
+            meta["host"]["blas"] = recorded
+            save_checkpoint(tmp_path / "other.ckpt", enc, extra=extra, meta=meta)
+            with pytest.raises(ResumeError) as refused:
+                pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
+                         resume_from=tmp_path / "other.ckpt")
+            assert str(refused.value) == (f"resume checkpoint was trained with blas={recorded!r}, "
+                                          f"this run has blas={now!r}")
+        del meta["host"]["blas"]  # written before the build was recorded
         save_checkpoint(tmp_path / "older.ckpt", enc, extra=extra, meta=meta)
         pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
                  resume_from=tmp_path / "older.ckpt")
