@@ -309,7 +309,8 @@ def _stored_config(cfg: PretrainConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg), default=lambda v: v.item()))
 
 
-def check_resume(path: str | os.PathLike, encoder: Encoder, cfg: PretrainConfig):
+def check_resume(path: str | os.PathLike, encoder: Encoder,
+                 cfg: PretrainConfig) -> tuple[Encoder, dict[str, np.ndarray], dict]:
     """Load the checkpoint at ``path`` (``load_checkpoint``'s triple) for
     ``pretrain`` to resume under ``cfg`` into ``encoder``, or raise
     ``ResumeError`` naming the first thing that differs: a ``cfg`` field, a
