@@ -15,16 +15,14 @@ Design notes:
     accumulate float32 in float64.
   * Every full-size pass of the encoder splits over the process's CPUs
     (``_parallel``): ``conv1d`` and ``gate`` by samples, ``swish`` and
-    same-shape ``add``, ``sub`` and ``mul`` by blocks of elements,
-    ``mean`` and ``sum_`` over the time axis by samples, forward and VJP,
-    and so do the gradient sums in ``Tape.backward``. Each slice runs the
-    numpy calls one worker would, on the same rows and in the same order, or
-    one call per sample; only ``conv1d``'s per-sample weight products and
-    bias sums are added across samples, in the calling thread, in sample
-    order. Results are therefore bit-identical for any CPU count, provided
-    the BLAS thread count is fixed: OpenBLAS sizes its own pool from the CPU
-    affinity unless OPENBLAS_NUM_THREADS is set. A ``_parallel`` job runs numpy only: no op,
-    ``_make_out`` or tape.
+    same-shape ``add``, ``sub`` and ``mul`` by blocks of elements, forward
+    and VJP, and so do the gradient sums in ``Tape.backward``. Each slice
+    runs the numpy calls one worker would, on the same rows and in the same
+    order, or one call per sample; only ``conv1d``'s per-sample weight
+    products and bias sums are added across samples, in the calling thread,
+    in sample order. Results are therefore bit-identical for any CPU count,
+    at a fixed BLAS thread count (see the thread policy below). A
+    ``_parallel`` job runs numpy only: no op, ``_make_out`` or tape.
 
 Adding an op: compute the output array ``data`` from the inputs' ``.data``,
 then ``return _make_out(data, inputs, vjp)``. ``vjp(g)`` receives the
@@ -58,6 +56,15 @@ time. The two values override the ``MALLOC_TRIM_THRESHOLD_`` and
 ``MALLOC_MMAP_THRESHOLD_`` environment variables. A libc without
 ``mallopt`` (musl, macOS, Windows) keeps its own policy. No numeric code
 depends on it, so the bits are the same either way.
+
+Thread policy: importing this module also sets BLAS to one thread
+(``_one_blas_thread``) unless one of ``BLAS_THREAD_VARS`` is set, in which
+case the user's count stands. The batch slices above already use the
+CPUs, and OpenBLAS would otherwise size its own pool from the affinity, so
+the bits would follow the CPU count and its threads would contend with the
+slices. The pin and ``blas_thread_count`` reach OpenBLAS through ``ctypes``
+on numpy's core extension, which links the scipy-openblas build of
+numpy's wheels; under any other BLAS build both do nothing.
 """
 
 from __future__ import annotations
@@ -227,7 +234,7 @@ def _make_out(data: Array, inputs: Sequence[Tensor], vjp: VJP) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the process's heap
+# the process's heap and BLAS threads
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
@@ -245,6 +252,40 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+# The BLAS thread-count variables: a user who sets one keeps BLAS's own
+# count, and runs record them (see riskclr.train.host_conditions).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _openblas(name: str):
+    """The function ``name`` of the scipy-openblas build that numpy's wheels
+    ship, through ``ctypes`` on numpy's core extension, whose symbol lookup
+    searches the libraries it links; None for another BLAS build."""
+    core = getattr(np, "_core", None) or np.core  # numpy 1.x has no _core
+    try:
+        return getattr(ctypes.CDLL(core._multiarray_umath.__file__), name)
+    except (OSError, AttributeError):  # AttributeError: no such symbol there
+        return None
+
+
+def blas_thread_count() -> int | None:
+    """The thread count scipy-openblas reports; None for another BLAS build."""
+    query = _openblas("scipy_openblas_get_num_threads64_")
+    return None if query is None else query()  # ctypes' default restype is int
+
+
+def _one_blas_thread() -> None:
+    """Set scipy-openblas to one thread unless a ``BLAS_THREAD_VARS`` is set
+    (see the module docstring); another BLAS build is left as it is."""
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    pin = _openblas("scipy_openblas_set_num_threads64_")
+    if pin is not None:
+        pin(1)
+
+
+_one_blas_thread()
 
 
 # ---------------------------------------------------------------------------
@@ -537,24 +578,14 @@ def transpose(a) -> Tensor:
 
 
 def _reduce(a, axis: int | None, fn) -> Tensor:
-    """``np.sum`` or ``np.mean`` over ``axis`` (all axes when None);
-    float32 storage accumulates in float64. Over the time axis of a (B, C,
-    L) array, each channel's sum runs over its contiguous row, so a
-    sample's result has the bits it has alone, and the forward pass and the
-    VJP's fill split the batch over the CPUs."""
+    """``np.sum`` or ``np.mean`` over ``axis`` (all axes when None), as one
+    call; float32 storage accumulates in float64. Over the time axis of a
+    (B, C, L) array, each channel's sum runs over its contiguous row, so a
+    sample's result has the bits it has alone."""
     a = _as_tensor(a)
     x = a.data
     wide = {"dtype": np.float64} if x.dtype == np.float32 else {}
-    per_sample = axis == 2 and x.ndim == 3
-    if per_sample:
-        data = np.empty(x.shape[:2], dtype=x.dtype)
-
-        def forward(lo, hi):
-            data[lo:hi] = fn(x[lo:hi], axis=2, **wide)  # rounds as astype does
-
-        _parallel(len(x), forward)
-    else:
-        data = fn(x, axis=axis, **wide).astype(x.dtype, copy=False)
+    data = fn(x, axis=axis, **wide).astype(x.dtype, copy=False)
     count = 1 if fn is np.sum else x.size if axis is None else x.shape[axis]
     shape, ha = x.shape, _handle(a)
 
@@ -563,10 +594,7 @@ def _reduce(a, axis: int | None, fn) -> Tensor:
         if axis is not None:
             g = np.expand_dims(g, axis)
         grad = np.empty(shape, dtype=g.dtype)
-        if per_sample:
-            _parallel(len(grad), lambda lo, hi: np.copyto(grad[lo:hi], g[lo:hi]))
-        else:
-            np.copyto(grad, g)
+        np.copyto(grad, g)
         return [(ha, grad)]
 
     return _make_out(data, (a,), vjp)

@@ -17,17 +17,8 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
-
-from riskclr import BLAS_THREAD_VARS
-
-# One BLAS thread unless the user chose a count, set before numpy loads: the
-# encoder already splits its batches over the CPUs, and OpenBLAS would
-# otherwise size its pool from the affinity (see riskclr.autodiff).
-if not any(var in os.environ for var in BLAS_THREAD_VARS):
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 import click
 import numpy as np

