@@ -168,7 +168,7 @@ def gen_data_cmd(config_path, out_dir, n_subjects, n_downstream, seed):
 def _load_dataset(path: str, kind):
     from riskclr import data as data_mod
     from riskclr.encoder import STEM_KERNEL
-    from riskclr.signal import TARGET_FS, rate_ratio
+    from riskclr.signal import TARGET_FS, resampled_length
 
     p = Path(path)
     if not p.exists() and not p.is_absolute():
@@ -183,12 +183,12 @@ def _load_dataset(path: str, kind):
         raise CliError(str(exc), EXIT_MISSING_INPUT)
     if not isinstance(ds, kind):
         raise CliError(f"{path} holds the wrong dataset kind", EXIT_CONFIG)
+    t = (ds.leads if isinstance(ds, data_mod.Dataset) else ds.signals).shape[-1]
     try:
-        rate_ratio(ds.fs, TARGET_FS)
+        out_len = resampled_length(t, ds.fs)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}", EXIT_CONFIG)
-    t = (ds.leads if isinstance(ds, data_mod.Dataset) else ds.signals).shape[-1]
-    if round(t * TARGET_FS / ds.fs) < STEM_KERNEL:
+    if out_len < STEM_KERNEL:
         raise CliError(f"{path}: signals of {t} samples at {ds.fs:g} Hz are shorter than the "
                        f"encoder's {STEM_KERNEL}-sample stem kernel at {TARGET_FS:g} Hz",
                        EXIT_CONFIG)

