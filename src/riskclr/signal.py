@@ -303,10 +303,9 @@ def preprocess_rows(rows: np.ndarray, fs_in: float) -> np.ndarray:
     """`preprocess` of (N, T) rows as one float32 (N, resampled_length) array.
 
     The rows go through in max(N // PREPROCESS_BLOCK_ROWS, 1) near-equal
-    blocks, so the float64 intermediates hold one block, not the cohort. The
-    output is allocated before the first block: allocated after it, it sits
-    above the block's freed temporaries, which the heap then keeps.
-    `_block_matrix` is rebuilt per block; at 0.4 ms a call it needs no cache.
+    blocks, so the float64 intermediates hold one block, not the cohort; the
+    output is allocated before the first block, at its `resampled_length`.
+    `_block_matrix` is rebuilt per block: under 1 ms a call, it needs no cache.
     """
     n, t = rows.shape
     out = np.empty((n, resampled_length(t, fs_in)), dtype=np.float32)

@@ -246,7 +246,9 @@ class TestResample:
         assert resample(x, 500, 250).shape[-1] == 500
         for t, fs_in, fs_out in [(1000, 250, 500), (1001, 360, 500), (7, 360, 500),
                                  (999, 500, 250), (10, 500, 500)]:
-            assert resample(np.zeros(t), fs_in, fs_out).shape[-1] == resampled_length(t, fs_in, fs_out)
+            want = resampled_length(t, fs_in, fs_out)
+            assert resample(np.zeros(t), fs_in, fs_out).shape[-1] == want
+        assert resampled_length(7, 360, 500) == 10  # 9.72 rounds up
         with pytest.raises(ValueError, match="no fraction"):
             resampled_length(1000, 333.3333)
 
@@ -290,6 +292,10 @@ class TestZscore:
 
     def test_constant_flagged(self):
         z, flag = zscore(np.array([5.0, 5.0, 5.0]))
+        assert flag
+        np.testing.assert_array_equal(z, np.zeros(3))
+        # deviations whose squares underflow: the std is 0, so zeros too
+        z, flag = zscore(np.array([1e-170, -1e-170, 1e-170]))
         assert flag
         np.testing.assert_array_equal(z, np.zeros(3))
 
